@@ -1,4 +1,4 @@
-.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke profile clean
+.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke perfbench-build profile clean
 
 build:
 	dune build
@@ -34,8 +34,9 @@ cram:
 
 # One-stop verification: lint, build, the full test suite (unit +
 # property + cram), an explicit uncached run of the session/mutation
-# cram, and a fresh machine-readable bench run re-parsed through the
-# JSON schema checker and diffed against the checked-in baseline.
+# cram, a fresh machine-readable bench run re-parsed through the JSON
+# schema checker and diffed against the checked-in baseline, and a build
+# of the perfbench benchmark against the current lib/.
 check:
 	$(MAKE) lint
 	dune build
@@ -44,6 +45,18 @@ check:
 	$(MAKE) check-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) bench-gate
+	$(MAKE) perfbench-build
+
+# Benchmark build guard: perfbench/run.py mirrors lib/ into .bench_build/
+# and builds the benchmark there in release mode.  Run with no arguments
+# it builds, then stops on the usage error (exit 2); exit 3 means the
+# build failed.  Catches a lib/ change that breaks the benchmark's build.
+perfbench-build:
+	@out=$$(python3 perfbench/run.py 2>&1 >/dev/null); rc=$$?; \
+	if [ $$rc -eq 2 ]; then echo "perfbench-build: ok"; \
+	else echo "$$out"; \
+	  echo "perfbench-build: run.py exited $$rc, expected 2 (3 = build failed)"; \
+	  exit 1; fi
 
 # Static-analysis smoke: `sekitei check` must accept every shipped
 # feasible spec and prove the capacity-starved diamond infeasible

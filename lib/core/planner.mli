@@ -90,8 +90,9 @@ type stats = Session.stats = {
       (** RG nodes pruned by duplicate detection (pending set re-derived
           at an equal-or-worse g) *)
   order_repaired : int;
-      (** candidate tails recovered by the RG backtracking re-sequencer
-          after failing from-init validation *)
+      (** always [0]: the RG search no longer re-sequences candidate
+          tails that fail from-init validation.  Kept only for readers
+          of the stats record until they drop the field. *)
   slrg_cache_hits : int;
       (** SLRG queries answered from the solved or capped-bound caches.
           For warm session requests the [slrg_*] fields are per-request
@@ -206,7 +207,7 @@ type report = Session.report = {
     is forwarded to {!Compile.compile} (per-placement cost adjustments,
     used by {!Redeploy}).  When the request carries a telemetry handle
     with sinks, the run emits a span tree rooted at ["plan"]
-    (compile/leveling, plrg, slrg, rg, replay, replay.repair, per-query
+    (compile/leveling, plrg, slrg, rg, replay, per-query
     slrg.query), aggregated counters, and periodic ["rg"] progress
     events; failed runs attach the {!pp_failure}-rendered reason to the
     ["plan"] span end as a ["failure"] attribute.

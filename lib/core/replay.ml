@@ -4,7 +4,7 @@ module Topology = Sekitei_network.Topology
 module Model = Sekitei_spec.Model
 module Telemetry = Sekitei_telemetry.Telemetry
 
-type mode = Optimistic | From_init | Regression
+type mode = From_init | Regression
 
 type failure = { failed_index : int; failed_action : string; reason : string }
 
@@ -112,7 +112,7 @@ let op ivl = I.hi ivl
 
 let eval_cost env_ivl cost =
   (* Cost at operating points; meaningless pieces (unbounded intervals in
-     optimistic mode) degrade to the infimum. *)
+     [Regression] mode) degrade to the infimum. *)
   let env v =
     let ivl = env_ivl v in
     if Float.is_finite (I.hi ivl) then I.hi ivl else I.lo ivl
@@ -130,7 +130,7 @@ let find_iface_index (pb : Problem.t) name =
   go 0
 
 (* Fetch the effective input interval for [iface] at [node], seeding
-   unknown inputs in optimistic mode, and throttle it into [assumed]. *)
+   unknown inputs in [Regression] mode, and throttle it into [assumed]. *)
 let effective_input pb st ~mode iface node assumed =
   let tag = pb.Problem.iface_tags.(iface) in
   let cur =
@@ -143,7 +143,7 @@ let effective_input pb st ~mode iface node assumed =
               (Fail
                  (Printf.sprintf "interface %s not available on node %d"
                     pb.ifaces.(iface).Model.iface_name node))
-        | Optimistic | Regression -> I.of_points [ 0.; pb.iface_max.(iface) ])
+        | Regression -> I.of_points [ 0.; pb.iface_max.(iface) ])
   in
   match meet tag cur assumed with
   | Some eff ->
@@ -156,17 +156,13 @@ let effective_input pb st ~mode iface node assumed =
               pb.ifaces.(iface).Model.iface_name node (I.to_string cur)
               (I.to_string assumed)))
 
-let secondary_value pb st ~mode iface node p =
+let secondary_value pb st iface node p =
   match Hashtbl.find_opt st.sec (iface, node, p) with
   | Some ivl -> ivl
   | None -> (
-      let default () =
-        match Model.find_property pb.Problem.ifaces.(iface) p with
-        | Some prop -> I.point prop.Model.prop_default
-        | None -> raise (Fail ("unknown property " ^ p))
-      in
-      match mode with
-      | From_init | Optimistic | Regression -> default ())
+      match Model.find_property pb.Problem.ifaces.(iface) p with
+      | Some prop -> I.point prop.Model.prop_default
+      | None -> raise (Fail ("unknown property " ^ p)))
 
 let consume_node pb st node r amount =
   if not (Float.is_finite amount) then
@@ -189,31 +185,20 @@ let consume_link pb st link r amount =
 (* A checked (unimportant) level assumption on the remaining amount of a
    node/link resource.  In [From_init] mode the remaining amount is exact,
    so the level must contain it (the upper boundary counts as inside: full
-   capacity satisfies "at least the top cutpoint").  In [Optimistic] mode,
-   actions prepended later can only lower the remaining amount, so the
-   assumption is still reachable whenever the level's infimum is.
-   [Regression] mode replays in regression order, so the state's running
-   remainder includes consumption by actions that execute *after* this one
-   in plan time; callers therefore pass the base remaining amount (full
-   capacity minus static pre-consumption), against which the infimum test
-   is the correct optimistic check. *)
+   capacity satisfies "at least the top cutpoint").  [Regression] mode
+   replays in regression order, so the state's running remainder includes
+   consumption by actions that execute *after* this one in plan time;
+   callers therefore pass the base remaining amount (full capacity minus
+   static pre-consumption).  Actions prepended later can only lower the
+   amount left when this one runs, so the assumption is still reachable
+   whenever the level's infimum is. *)
 let checked_level_ok ~mode rem ivl =
   match mode with
-  | Optimistic | Regression -> rem >= I.lo ivl -. 1e-9
+  | Regression -> rem >= I.lo ivl -. 1e-9
   | From_init -> I.mem rem ivl || rem = I.hi ivl
 
 let store_output out_ivl assumed what =
-  let narrowed =
-    match I.inter out_ivl assumed with
-    | Some x -> Some x
-    | None ->
-        (* A degradable output that computes above its assumed level can be
-           throttled down into it; below it is a real failure. *)
-        if I.lo out_ivl >= I.hi assumed then None
-        else if I.hi out_ivl <= I.lo assumed then None
-        else I.inter out_ivl assumed
-  in
-  match narrowed with
+  match I.inter out_ivl assumed with
   | Some x -> x
   | None ->
       raise
@@ -234,7 +219,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
         I.point
           (match mode with
           | Regression -> node_base pb node r
-          | Optimistic | From_init -> node_remaining pb st node r)
+          | From_init -> node_remaining pb st node r)
     | iface_name, prop_name -> (
         let i = find_iface_index pb iface_name in
         let primary = Problem.primary pb i in
@@ -242,7 +227,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
           match Hashtbl.find_opt st.prim (i, node) with
           | Some ivl -> ivl
           | None -> I.full (* a provide not yet computed *)
-        else secondary_value pb st ~mode i node prop_name)
+        else secondary_value pb st i node prop_name)
   in
   (* 3. conditions and checked node levels *)
   List.iter
@@ -255,7 +240,7 @@ let exec_place pb st ~mode (act : Action.t) comp node =
       let rem =
         match mode with
         | Regression -> node_base pb node r
-        | Optimistic | From_init -> node_remaining pb st node r
+        | From_init -> node_remaining pb st node r
       in
       if not (checked_level_ok ~mode rem ivl) then
         raise
@@ -329,10 +314,10 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
         I.point
           (match mode with
           | Regression -> link_base pb link r
-          | Optimistic | From_init -> link_remaining pb st link r)
+          | From_init -> link_remaining pb st link r)
     | "", p ->
         if String.equal p primary then eff
-        else secondary_value pb st ~mode iface src p
+        else secondary_value pb st iface src p
     | _, _ -> raise (Fail ("unexpected variable in cross formula: " ^ v))
   in
   List.iter
@@ -345,7 +330,7 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
       let rem =
         match mode with
         | Regression -> link_base pb link r
-        | Optimistic | From_init -> link_remaining pb st link r
+        | From_init -> link_remaining pb st link r
       in
       if not (checked_level_ok ~mode rem ivl) then
         raise
@@ -363,7 +348,7 @@ let exec_cross pb st ~mode (act : Action.t) iface link src dst =
         | None ->
             ( p,
               if String.equal p primary then eff
-              else secondary_value pb st ~mode iface src p ))
+              else secondary_value pb st iface src p ))
       ifc.Model.properties
   in
   List.iter

@@ -11,28 +11,26 @@
     operating point), and finally produces its outputs by monotone
     interval evaluation of the effect formulae.
 
-    Three modes:
-    - [Optimistic] — unknown inputs are seeded from the action's assumed
-      level capped by the interface's global maximum ({!Problem.t.iface_max});
-      used to prune partial plans during RG search.  A failure here is
-      definitive: no completion of the tail can succeed.
+    Two modes:
+    - [Regression] — the mode of the RG search's incremental extension,
+      used to prune partial plans.  Each [extend] appends the action that
+      executes {e first} in plan time.  Unknown inputs are seeded from the
+      action's assumed level capped by the interface's global maximum
+      ({!Problem.t.iface_max}).  Checked (unimportant) node/link levels
+      and [node.r]/[link.r] condition variables are evaluated against the
+      {e base} capacity rather than the running remainder, because the
+      remainder already includes consumption by plan-later actions —
+      amounts not yet consumed when the new action really runs.
+      Consumption sums themselves are order-independent, so capacity
+      exhaustion checks stay exact.  A failure here is definitive: no
+      completion of the tail can succeed.
     - [From_init] — inputs must be produced by earlier actions or the
       initial state; used for the final soundness check and for deployment
-      metrics.
-    - [Regression] — [Optimistic], except that checked (unimportant)
-      node/link levels and [node.r]/[link.r] condition variables are
-      evaluated against the {e base} capacity rather than the running
-      remainder.  This is the mode for the RG search's incremental
-      extension: there each [extend] appends the action that executes
-      {e first} in plan time, so the running remainder already includes
-      consumption by plan-later actions — amounts that are not yet
-      consumed at the moment the new action really runs.  Consumption
-      sums themselves are order-independent, so capacity exhaustion
-      checks stay exact. *)
+      metrics. *)
 
 module I = Sekitei_util.Interval
 
-type mode = Optimistic | From_init | Regression
+type mode = From_init | Regression
 
 type failure = {
   failed_index : int;  (** position in the tail, -1 for goal checks *)

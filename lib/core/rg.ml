@@ -78,69 +78,6 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-(* Re-sequencing of a candidate tail under from-init semantics.
-   Duplicate detection collapses permuted tails, so of several orderings
-   of one action set only a single tail may survive to final validation —
-   and from-init replay is order-sensitive.  When that surviving order
-   fails, search for a feasible execution order of the same action set by
-   depth-first backtracking over the remaining actions (an earlier greedy
-   first-feasible pick could dead-end and lose a solution that dedup had
-   collapsed).  Remaining sets proven infeasible are memoized — replay
-   feasibility of a remainder depends on the executed action {e set}, not
-   its order (consumption sums and produced availabilities are
-   order-independent) — which caps the search at one attempt per subset.
-   [steps] holds the remaining [Replay.extend] budget and is decremented
-   in place, so one pool can be shared across many repair attempts;
-   within the budget the search is exhaustive — [Infeasible] is a proof
-   that no order of the action set replays from init, while [Gave_up]
-   only says the budget ran out first. *)
-type repair_outcome =
-  | Repaired of Action.t list * Replay.metrics
-  | Infeasible
-  | Gave_up
-
-let repair_search ~steps (pb : Problem.t) tail =
-  let arr = Array.of_list tail in
-  let failed = Hashtbl.create 32 in
-  let exception Out_of_budget in
-  let rec go rs acc remaining =
-    match remaining with
-    | [] ->
-        Some
-          (List.rev_map (fun i -> arr.(i)) acc, Replay.rstate_metrics pb rs)
-    | _ ->
-        let key = List.sort Int.compare remaining in
-        if Hashtbl.mem failed key then None
-        else begin
-          let rec try_each tried = function
-            | [] -> None
-            | i :: rest -> (
-                if !steps <= 0 then raise Out_of_budget;
-                decr steps;
-                match Replay.extend pb ~mode:Replay.From_init rs arr.(i) with
-                | Error _ -> try_each (i :: tried) rest
-                | Ok rs' -> (
-                    match go rs' (i :: acc) (List.rev_append tried rest) with
-                    | Some _ as found -> found
-                    | None -> try_each (i :: tried) rest))
-          in
-          match try_each [] remaining with
-          | Some _ as found -> found
-          | None ->
-              Hashtbl.replace failed key ();
-              None
-        end
-  in
-  match go (Replay.initial pb) [] (List.init (Array.length arr) Fun.id) with
-  | Some (tail', metrics) -> Repaired (tail', metrics)
-  | None -> Infeasible
-  | exception Out_of_budget -> Gave_up
-
-let repair_order ?(max_steps = 20_000) pb tail =
-  match repair_search ~steps:(ref max_steps) pb tail with
-  | Repaired (tail', metrics) -> Some (tail', metrics)
-  | Infeasible | Gave_up -> None
-
 let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
     ?profile ?(telemetry = Telemetry.null) ?metrics ?(deadline = Deadline.none)
     (pb : Problem.t) (_plrg : Plrg.t) slrg =
@@ -150,7 +87,6 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   and replay_pruned = ref 0
   and final_rejected = ref 0
   and duplicates = ref 0
-  and order_repaired = ref 0
   and deferred = ref 0
   and refined_count = ref 0 in
   (* The SLRG oracle owns the hash-consing ctx and the supports table;
@@ -160,24 +96,10 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   let supports = Slrg.supports slrg in
   (* (pending set, action set) pairs already on the open list.  A node
      re-deriving a recorded pair is a permutation of the recorded one —
-     a duplicate, pruned.  Order sensitivity of the final from-init
-     validation is restored by [repair_search] below.  The empty set is
-     exempt: candidate solutions go to validation individually, so a
-     repair budget exhaustion on one permutation cannot mask another. *)
+     a duplicate, pruned.  The empty set is exempt: final from-init
+     validation is order-sensitive, so every permutation that reaches
+     the empty set is validated on its own. *)
   let seen_keys = Ktbl.create 256 in
-  (* Action sets whose exhaustive repair proved no order replays from
-     init.  Candidates are exempt from dedup, so the same multiset keeps
-     resurfacing in permuted tails; its infeasibility is a property of
-     the set alone, and the proof is reused instead of re-derived.
-     Budget-exhausted repairs are never cached here. *)
-  let repair_failed = Hashtbl.create 32 in
-  (* Shared [Replay.extend] pool for all repair attempts of one search.
-     Repair is opportunistic — skipping it only forgoes a recovery, never
-     soundness — and on infeasible instances thousands of candidates can
-     otherwise each pay an exhaustive re-sequencing that cannot succeed.
-     Each attempt is additionally capped so one pathological tail cannot
-     drain the pool alone. *)
-  let repair_pool = ref 500_000 in
   let heap = Heap.create () in
   (* PLRG h_max of a pending set: the per-proposition heuristic the SLRG
      refines.  Under deferred evaluation it is also the cheap first-stage
@@ -252,7 +174,6 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
       Telemetry.count telemetry "rg.replay_pruned" !replay_pruned;
       Telemetry.count telemetry "rg.final_replay_rejected" !final_rejected;
       Telemetry.count telemetry "rg.duplicates" !duplicates;
-      Telemetry.count telemetry "rg.order_repaired" !order_repaired;
       Telemetry.count telemetry "rg.slrg_deferred" !deferred;
       Telemetry.count telemetry "rg.slrg_saved" (!deferred - !refined_count);
       Telemetry.gauge telemetry "rg.open_left" (float_of_int (Heap.length heap))
@@ -275,16 +196,10 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
         replay_pruned = !replay_pruned;
         final_replay_rejected = !final_rejected;
         duplicates = !duplicates;
-        order_repaired = !order_repaired;
+        order_repaired = 0;
         slrg_deferred = !deferred;
         slrg_saved = !deferred - !refined_count;
       } )
-  in
-  let solution node tail metrics =
-    (match profile with
-    | None -> ()
-    | Some out -> out := List.rev node.chain);
-    finish (Solution (tail, metrics, node.g))
   in
   let rec loop () =
     match Heap.pop heap with
@@ -359,40 +274,15 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
           ];
       if Array.length node.set.Propset.set = 0 then begin
         (* Candidate solution: validate against the true initial map. *)
-        let akey = Iset.elements node.acts in
-        if Hashtbl.mem repair_failed akey then begin
-          incr final_rejected;
-          loop ()
-        end
-        else
-          match
-            Replay.run ~telemetry pb ~mode:Replay.From_init node.tail
-          with
-          | Ok metrics -> solution node node.tail metrics
-          | Error _ when !repair_pool <= 0 ->
-              incr final_rejected;
-              loop ()
-          | Error _ -> (
-              (* The order that survived dedup may be infeasible even
-                 though a permutation of the same multiset is fine. *)
-              let steps = ref (min 20_000 !repair_pool) in
-              let budget = !steps in
-              let outcome =
-                Telemetry.with_span telemetry "replay.repair" (fun () ->
-                    repair_search ~steps pb node.tail)
-              in
-              repair_pool := !repair_pool - (budget - !steps);
-              match outcome with
-              | Repaired (tail', metrics) ->
-                  incr order_repaired;
-                  solution node tail' metrics
-              | Infeasible ->
-                  Hashtbl.replace repair_failed akey ();
-                  incr final_rejected;
-                  loop ()
-              | Gave_up ->
-                  incr final_rejected;
-                  loop ())
+        match Replay.run ~telemetry pb ~mode:Replay.From_init node.tail with
+        | Ok metrics ->
+            (match profile with
+            | None -> ()
+            | Some out -> out := List.rev node.chain);
+            finish (Solution (node.tail, metrics, node.g))
+        | Error _ ->
+            incr final_rejected;
+            loop ()
       end
       else begin
         Array.iter

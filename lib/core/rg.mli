@@ -20,14 +20,11 @@
     duplicate table keyed by (canonical pending set, tail action set)
     prunes permutations of already-open nodes — nodes agreeing on both
     components regress the same obligations at the same cost.  Candidate
-    solutions (empty pending set) are exempt from duplicate pruning and
-    are still validated by a full from-init replay of the tail in
-    execution order, with a backtracking re-sequencing fallback
-    ({!repair_order}) because that validation is order-sensitive while
-    dedup is not.  Re-sequencing is opportunistic: all attempts of one
-    search share a step pool and action sets proven unrepairable are
-    never retried, so infeasible instances rejecting thousands of
-    candidates pay at most the pool. *)
+    solutions (empty pending set) are validated by a full from-init
+    replay of the tail in execution order and rejected on failure.  That
+    replay is order-sensitive while dedup is not, so candidates are exempt
+    from duplicate pruning: every permutation that reaches the empty set
+    is validated on its own. *)
 
 type stats = {
   created : int;  (** RG nodes created *)
@@ -39,9 +36,9 @@ type stats = {
       (** successors pruned by the duplicate table: permutations of a
           (pending set, action set) pair already on the open list *)
   order_repaired : int;
-      (** candidate tails whose surviving order failed from-init
-          validation but were recovered by the backtracking re-sequencer
-          {!repair_order} *)
+      (** always [0]: the search no longer re-sequences rejected
+          candidates.  Kept only for readers of the stats record until
+          they drop the field. *)
   slrg_deferred : int;
       (** nodes queued with the cheap PLRG bound instead of an SLRG query
           (always [0] with [~defer:false]) *)
@@ -83,20 +80,6 @@ type result =
       frontier : frontier option;
     }
 
-(** Re-sequence a candidate tail (an action set in some infeasible order)
-    into an order that replays from the true initial state, by depth-first
-    backtracking with infeasible-remainder memoization; [max_steps]
-    (default 20000) bounds the total [Replay.extend] calls.  Returns the
-    feasible order and its deployment metrics, or [None] when no ordering
-    of the set replays (or the step budget runs out).  Used by {!search}
-    on candidate solutions whose dedup-surviving order fails validation;
-    exposed for direct testing against brute-force permutation search. *)
-val repair_order :
-  ?max_steps:int ->
-  Problem.t ->
-  Action.t list ->
-  (Action.t list * Replay.metrics) option
-
 (** [dedup] (default [true]) toggles the duplicate-detection table —
     exposed so tests can assert that pruning never changes the returned
     plan cost.
@@ -135,9 +118,8 @@ val repair_order :
     {!Sekitei_telemetry.Telemetry.progress_interval} expansions: open-list
     size, best f, expansions, duplicates), counts search totals
     ([rg.created], [rg.expanded], [rg.replay_pruned], [rg.duplicates],
-    [rg.final_replay_rejected], [rg.order_repaired], [rg.slrg_deferred],
-    [rg.slrg_saved]), and wraps final candidate validation in
-    ["replay"] / ["replay.repair"] sub-spans.
+    [rg.final_replay_rejected], [rg.slrg_deferred], [rg.slrg_saved]),
+    and wraps each final candidate validation in a ["replay"] sub-span.
 
     [deadline] is polled once per expansion (at pop, after heuristic
     refinement); on expiry the search stops with [Deadline_reached]

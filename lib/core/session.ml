@@ -202,11 +202,11 @@ let pp_failure fmt = function
 let pp_stats fmt s =
   Format.fprintf fmt
     "actions=%d plrg=%d/%d slrg=%d rg=%d/%d expanded=%d pruned=%d dups=%d \
-     rejected=%d repaired=%d deferred=%d/%d invalidated=%d evicted=%d \
+     rejected=%d deferred=%d/%d invalidated=%d evicted=%d \
      time=%.1f/%.1fms"
     s.total_actions s.plrg_props s.plrg_actions s.slrg_nodes s.rg_created
     s.rg_open_left s.rg_expanded s.replay_pruned s.rg_duplicates
-    s.final_replay_rejected s.order_repaired s.slrg_deferred s.slrg_saved
+    s.final_replay_rejected s.slrg_deferred s.slrg_saved
     s.invalidated_actions s.evicted_entries s.t_total_ms s.t_search_ms
 
 let pp_phases fmt p =
@@ -515,8 +515,7 @@ let plan_exn t =
                 | None -> 0);
               rg_duplicates =
                 (match rg_stats with Some s -> s.Rg.duplicates | None -> 0);
-              order_repaired =
-                (match rg_stats with Some s -> s.Rg.order_repaired | None -> 0);
+              order_repaired = 0;
               slrg_cache_hits =
                 (match slrg with Some (_, h, _, _, _, _, _) -> h | None -> 0);
               slrg_suffix_harvested =

@@ -106,7 +106,7 @@ type stats = {
   replay_pruned : int;
   final_replay_rejected : int;
   rg_duplicates : int;
-  order_repaired : int;
+  order_repaired : int;  (** always [0]; the RG no longer re-sequences *)
   slrg_cache_hits : int;
       (** SLRG queries answered from cache {e during this request} (warm
           sessions report per-request deltas; for a one-shot run these

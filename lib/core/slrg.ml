@@ -13,12 +13,11 @@ module Registry = Sekitei_telemetry.Registry
 let escalation_cap = 32
 
 (* Escalated re-runs additionally draw on one shared pool of
-   [escalation_pool_factor * query_budget] expansions per oracle.  Like
-   order repair in the RG, escalation is opportunistic — serving the
-   cached bound is always sound — and on hard instances thousands of
-   distinct exhausted sets would otherwise each escalate to the per-set
-   cap, multiplying total search work for bounds the caller never
-   benefits from. *)
+   [escalation_pool_factor * query_budget] expansions per oracle.
+   Escalation is opportunistic — serving the cached bound is always
+   sound — and on hard instances thousands of distinct exhausted sets
+   would otherwise each escalate to the per-set cap, multiplying total
+   search work for bounds the caller never benefits from. *)
 let escalation_pool_factor = 100
 
 (* Adaptive bound harvesting is skipped when a solve closed more sets

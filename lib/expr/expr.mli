@@ -66,10 +66,11 @@ val holds : env:(var -> float) -> cond -> bool
     @raise Division_by_zero when a divisor interval contains 0. *)
 val eval_interval : env:(var -> Sekitei_util.Interval.t) -> t -> Sekitei_util.Interval.t
 
-(** Optimistic satisfiability: [true] when some assignment drawing each
-    variable independently from its interval satisfies the condition.
-    Sound in the optimistic direction: never [false] for a satisfiable
-    condition; may be [true] for conditions that couple variables. *)
+(** Satisfiability over interval bounds: [true] when some assignment
+    drawing each variable independently from its interval satisfies the
+    condition.  Sound in the optimistic direction: never [false] for a
+    satisfiable condition; may be [true] for conditions that couple
+    variables. *)
 val sat : env:(var -> Sekitei_util.Interval.t) -> cond -> bool
 
 (** {1 Analysis} *)

@@ -297,7 +297,6 @@ let prop_telemetry_transparent =
       && s1.Planner.slrg_cache_hits = s2.Planner.slrg_cache_hits
       && s1.Planner.slrg_suffix_harvested = s2.Planner.slrg_suffix_harvested
       && s1.Planner.slrg_bound_promoted = s2.Planner.slrg_bound_promoted
-      && s1.Planner.order_repaired = s2.Planner.order_repaired
       && events () <> [])
 
 (* ---------------- recorded heuristics are admissible ---------------- *)
@@ -350,68 +349,34 @@ let prop_h_admissible =
               s.Rg.h_slrg <= togo +. 1e-6 && s.Rg.h_plrg <= togo +. 1e-6)
             samples)
 
-(* ---------------- order repair equals brute force ---------------- *)
+(* ---------------- duplicate pruning is neutral ---------------- *)
 
-let rec insert_everywhere x = function
-  | [] -> [ [ x ] ]
-  | y :: ys ->
-      (x :: y :: ys) :: List.map (fun l -> y :: l) (insert_everywhere x ys)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | x :: xs -> List.concat_map (insert_everywhere x) (permutations xs)
-
-let shuffle rng l =
-  let a = Array.of_list l in
-  for i = Array.length a - 1 downto 1 do
-    let j = Prng.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
-
-(* The backtracking order repair must agree with brute-force search over
-   all permutations of the tail: it finds a feasible execution order
-   exactly when one exists (tails capped at 6 actions, 720 permutations).
-   Both a shuffled feasible plan and a random strict subset of it are
-   checked, exercising the recoverable and unrecoverable polarities. *)
-let prop_repair_equals_bruteforce =
-  let config =
-    { Planner.default_config with Planner.rg_max_expansions = 5_000 }
-  in
-  Q.Test.make ~count:20 ~name:"order repair matches brute-force feasibility"
-    (Q.pair arb_instance (Q.int_range 0 9999))
-    (fun (inst, seed) ->
+(* The RG duplicate table collapses permutations of one (pending set,
+   action set) pair, keeping only the first-created order for expansion.
+   Whenever both searches finish inside the cap, pruning must not change
+   the result constructor or the optimal cost bound (up to fp noise: the
+   kept order may sum the same bounds differently).  Runs that hit the
+   cap are skipped — the two searches spend their budgets differently. *)
+let prop_dedup_neutral =
+  Q.Test.make ~count:15 ~name:"duplicate pruning never changes the result"
+    arb_instance
+    (fun inst ->
       let topo, app, leveling = media_line_instance inst in
       let pb = Compile.compile topo app leveling in
-      match
-        (Planner.plan (Planner.request ~config topo app ~leveling))
-          .Planner.result
-      with
-      | Error _ -> true
-      | Ok p when List.length p.Plan.steps > 6 -> true
-      | Ok p ->
-          let rng = Prng.create ~seed:(Int64.of_int seed) in
-          let check tail =
-            let feasible =
-              List.exists
-                (fun o -> Result.is_ok (Replay.run pb ~mode:Replay.From_init o))
-                (permutations tail)
-            in
-            match Rg.repair_order pb (shuffle rng tail) with
-            | Some (order, _) ->
-                feasible
-                && Result.is_ok (Replay.run pb ~mode:Replay.From_init order)
-            | None -> not feasible
-          in
-          check p.Plan.steps
-          &&
-          match p.Plan.steps with
-          | [] | [ _ ] -> true
-          | steps ->
-              let drop = Prng.int rng (List.length steps) in
-              check (List.filteri (fun i _ -> i <> drop) steps))
+      let plrg = Plrg.build pb in
+      let search dedup =
+        fst
+          (Rg.search ~max_expansions:5_000 ~dedup pb plrg
+             (Slrg.create pb plrg))
+      in
+      match (search true, search false) with
+      | (Rg.Budget_exceeded _ | Rg.Deadline_reached _), _
+      | _, (Rg.Budget_exceeded _ | Rg.Deadline_reached _) ->
+          true
+      | Rg.Solution (_, _, c1), Rg.Solution (_, _, c2) ->
+          Float.abs (c1 -. c2) <= 1e-6
+      | Rg.Exhausted, Rg.Exhausted -> true
+      | _ -> false)
 
 (* ---------------- SLRG suffix harvesting is exact ---------------- *)
 
@@ -924,7 +889,7 @@ let suite =
       prop_planner_sound;
       prop_telemetry_transparent;
       prop_h_admissible;
-      prop_repair_equals_bruteforce;
+      prop_dedup_neutral;
       prop_slrg_harvest_agrees;
       prop_defer_identical;
       prop_warm_equals_cold;

@@ -80,14 +80,13 @@ let prop_equiv level mode mode_name =
     (fun tail ->
       same_outcome (Replay.run pb ~mode tail) (run_incremental pb ~mode tail))
 
-let prop_equiv_optimistic = prop_equiv Media.C Replay.Optimistic "optimistic, C"
 let prop_equiv_from_init = prop_equiv Media.C Replay.From_init "from-init, C"
 
 let prop_equiv_regression =
   prop_equiv Media.C Replay.Regression "regression, C"
 
 let prop_equiv_greedy =
-  prop_equiv Media.A Replay.Optimistic "optimistic, greedy A"
+  prop_equiv Media.A Replay.Regression "greedy A, regression"
 
 let prop_equiv_regression_e =
   prop_equiv Media.E Replay.Regression "regression, E"
@@ -108,7 +107,7 @@ let test_extend_persistent () =
   in
   let snapshot rs = Replay.rstate_metrics pb rs in
   let before = snapshot parent in
-  (match Replay.extend pb ~mode:Replay.Optimistic parent splitter with
+  (match Replay.extend pb ~mode:Replay.Regression parent splitter with
   | Ok child ->
       Alcotest.(check bool)
         "child advanced" true
@@ -117,8 +116,8 @@ let test_extend_persistent () =
   (* The parent must be untouched and re-extensible with identical results. *)
   Alcotest.(check bool) "parent unchanged" true (same_metrics before (snapshot parent));
   match
-    ( Replay.extend pb ~mode:Replay.Optimistic parent splitter,
-      Replay.extend pb ~mode:Replay.Optimistic parent splitter )
+    ( Replay.extend pb ~mode:Replay.Regression parent splitter,
+      Replay.extend pb ~mode:Replay.Regression parent splitter )
   with
   | Ok a, Ok b ->
       Alcotest.(check bool)
@@ -200,7 +199,6 @@ let test_bench_json_schema () =
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_equiv_optimistic;
       prop_equiv_from_init;
       prop_equiv_regression;
       prop_equiv_greedy;
