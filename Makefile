@@ -95,8 +95,10 @@ bench-gate:
 
 # Observability smoke: plan Small-C through the metrics subcommand and
 # schema-validate both exposition formats (--check exits 3 on a schema
-# violation), then force a deadline failure with the flight recorder
-# armed and assert the dump is written and readable.  Guards the
+# violation), check that a traced plan and the exposition report the
+# same deterministic search counters (one counter table feeds both), then
+# force a deadline failure with the flight recorder armed and assert the
+# dump is written and readable.  Guards the
 # always-on metrics path end to end: an encoder change that would break
 # a scraper or the postmortem tooling fails here, not on a dashboard.
 metrics-smoke:
@@ -105,6 +107,21 @@ metrics-smoke:
 	  --check > /dev/null
 	dune exec -- sekitei metrics --network small --levels C --format json \
 	  --check > /dev/null
+	dune exec -- sekitei plan --network small --levels C \
+	  --trace /tmp/sekitei_agree_trace.jsonl > /dev/null
+	dune exec -- sekitei metrics --network small --levels C \
+	  > /tmp/sekitei_agree_metrics.txt
+	@for pair in rg.created:rg_created slrg.cache_hits:slrg_cache_hits \
+	  slrg.queries:slrg_queries; do \
+	  t=$${pair%%:*}; m=$${pair##*:}; \
+	  tv=$$(grep "\"name\": \"$$t\"" /tmp/sekitei_agree_trace.jsonl | tail -1 \
+	    | sed 's/.*"total": \([0-9]*\).*/\1/'); \
+	  mv=$$(awk -v m=$$m '$$1 == m { print $$2 }' /tmp/sekitei_agree_metrics.txt); \
+	  if [ -z "$$tv" ] || [ "$$tv" != "$$mv" ]; then \
+	    echo "metrics-smoke: trace $$t=$$tv but exposition $$m=$$mv"; exit 1; \
+	  fi; \
+	  echo "metrics-smoke: $$t = $$m = $$tv"; \
+	done
 	@rm -f /tmp/sekitei_flight_smoke.jsonl
 	-dune exec -- sekitei plan --network small --levels C --deadline 0 \
 	  --flight /tmp/sekitei_flight_smoke.jsonl > /dev/null 2>&1

@@ -202,20 +202,22 @@ let config_of ?(explain = false) ?(profile_h = false) ?(defer_h = true)
 (* plan                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* [pb] is forced only to render an emitted plan: the planner validates
+   the spec before compiling it, and an invalid spec must reach that
+   check rather than fail in a compile of its own. *)
 let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
-  (match (audit, report.Planner.result) with
-  | true, Ok p -> (
-      match Sekitei_core.Audit.of_plan pb p with
-      | Ok a -> print_string (Sekitei_core.Audit.to_string pb a)
-      | Error e -> Format.printf "audit failed: %s@." e)
-  | _ -> ());
-  (match (dot_file, report.Planner.result) with
-  | Some file, Ok p ->
-      Sekitei_core.Deployment_dot.write_file pb p file;
-      Format.printf "deployment graph written to %s@." file
-  | _ -> ());
   (match report.Planner.result with
   | Ok p ->
+      let pb = Lazy.force pb in
+      (if audit then
+         match Sekitei_core.Audit.of_plan pb p with
+         | Ok a -> print_string (Sekitei_core.Audit.to_string pb a)
+         | Error e -> Format.printf "audit failed: %s@." e);
+      Option.iter
+        (fun file ->
+          Sekitei_core.Deployment_dot.write_file pb p file;
+          Format.printf "deployment graph written to %s@." file)
+        dot_file;
       Format.printf "Plan (%d actions, cost bound %g, realized cost %g):@."
         (Plan.length p) p.Plan.cost_lb p.Plan.metrics.Replay.realized_cost;
       Format.printf "%s@." (Plan.to_string pb p);
@@ -243,7 +245,7 @@ let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
       Format.printf "Heuristic quality:@.%s" (Sekitei_harness.Hquality.render hq)
   | None -> ());
   Format.printf "Stats: %a@." Planner.pp_stats report.Planner.stats;
-  Format.printf "Phases: %a@." Planner.pp_phases report.Planner.phases;
+  Format.printf "Phases: %a@." Planner.pp_phases report;
   match report.Planner.result with Ok _ -> 0 | Error _ -> 1
 
 let plan_cmd =
@@ -272,7 +274,7 @@ let plan_cmd =
                     if suggest then Sekitei_spec.Leveling.suggest doc.Dsl.app
                     else doc.Dsl.leveling
                   in
-                  let pb = Compile.compile topo doc.Dsl.app leveling in
+                  let pb = lazy (Compile.compile topo doc.Dsl.app leveling) in
                   report_outcome ?dot_file ~audit pb
                     (Planner.plan
                        (Planner.request ~config ~telemetry topo doc.Dsl.app
@@ -287,7 +289,9 @@ let plan_cmd =
             if suggest then Sekitei_spec.Leveling.suggest sc.Scenarios.app
             else Media.leveling levels sc.Scenarios.app
           in
-          let pb = Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling in
+          let pb =
+            lazy (Compile.compile sc.Scenarios.topo sc.Scenarios.app leveling)
+          in
           Format.printf "Planning %s with %s...@." sc.Scenarios.name
             (if suggest then "suggested levels"
              else "level scenario " ^ Media.scenario_name levels);
@@ -803,9 +807,12 @@ let check_cmd =
             (* Invalid specs never reach the compiler, so the preflight
                passes cannot run; report what the validator found. *)
             render format None spec_diags
-        | [] ->
-            let pb = Compile.compile topo app leveling in
-            render format (Some pb) (Preflight.check pb))
+        | [] -> (
+            match Compile.compile topo app leveling with
+            | pb -> render format (Some pb) (Preflight.check pb)
+            | exception Compile.Compile_error msg ->
+                Format.eprintf "spec error: %s@." msg;
+                2))
   in
   Cmd.v
     (Cmd.info "check"

@@ -93,7 +93,7 @@ let no_reuse =
     reuse_cross = (fun ~iface:_ ~link_id:_ ~src:_ ~dst:_ -> None);
   }
 
-let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
+let ground_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     (app0 : Model.app) leveling =
   let app, restrictions = rewrite_goals app0 in
   let ifaces = Array.of_list app.interfaces in
@@ -740,6 +740,16 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
     ground_actions =
       (if pruned_actions = 0 then actions else ground_actions);
   }
+
+(* A formula that divides by zero at a level endpoint has no value
+   there: the specification is at fault, not the planner. *)
+let compile_with ~adjust ~telemetry ~deadline ~prune ~reuse topo app leveling =
+  match
+    ground_with ~adjust ~telemetry ~deadline ~prune ~reuse topo app leveling
+  with
+  | pb -> pb
+  | exception Division_by_zero ->
+      fail "a formula divides by zero at a resource level endpoint"
 
 let no_adjust ~comp:_ ~node:_ = 0.
 

@@ -44,7 +44,7 @@ exception Compile_error of string
 
     @raise Compile_error on inconsistent specifications (pre-placed
     components with requirements, violated initial conditions, negative
-    cost bounds). *)
+    cost bounds, a formula dividing by zero). *)
 val compile :
   ?adjust:(comp:string -> node:int -> float) ->
   ?telemetry:Sekitei_telemetry.Telemetry.t ->

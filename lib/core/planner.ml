@@ -43,6 +43,7 @@ type stats = Session.stats = {
   final_replay_rejected : int;
   rg_duplicates : int;
   order_repaired : int;
+  slrg_queries : int;
   slrg_cache_hits : int;
   slrg_suffix_harvested : int;
   slrg_bound_promoted : int;
@@ -73,24 +74,11 @@ type phase = Session.phase = {
   major_collections : int;
 }
 
-type slrg_cache = Session.slrg_cache = {
-  hits : int;
-  harvested : int;
-  promoted : int;
-}
-
-type reuse_counters = Session.reuse_counters = {
-  invalidated : int;
-  evicted : int;
-}
-
 type phases = Session.phases = {
   compile : phase;
   plrg : phase;
   slrg : phase;
-  slrg_cache : slrg_cache;
   rg : phase;
-  reuse : reuse_counters;
 }
 
 type report = Session.report = {

@@ -93,6 +93,7 @@ type stats = Session.stats = {
       (** always [0]: the RG search no longer re-sequences candidate
           tails that fail from-init validation.  Kept only for readers
           of the stats record until they drop the field. *)
+  slrg_queries : int;  (** SLRG queries that ran an A* (not memoized) *)
   slrg_cache_hits : int;
       (** SLRG queries answered from the solved or capped-bound caches.
           For warm session requests the [slrg_*] fields are per-request
@@ -156,21 +157,6 @@ type phase = Session.phase = {
   major_collections : int;
 }
 
-(** Cross-query reuse counters of the SLRG cost oracle (printed by
-    {!pp_phases} as [slrg_cache=hits/harvested/promoted]). *)
-type slrg_cache = Session.slrg_cache = {
-  hits : int;  (** queries answered without running an A* *)
-  harvested : int;  (** suffix entries recorded beyond queried roots *)
-  promoted : int;  (** exhausted bounds replaced by exact entries *)
-}
-
-(** Session-reuse counters (printed by {!pp_phases} as
-    [reuse=invalidated/evicted]); both 0 for one-shot runs. *)
-type reuse_counters = Session.reuse_counters = {
-  invalidated : int;
-  evicted : int;
-}
-
 type phases = Session.phases = {
   compile : phase;  (** items = leveled actions after pruning *)
   plrg : phase;  (** items = relevant propositions *)
@@ -179,9 +165,7 @@ type phases = Session.phases = {
           construction plus the cumulative footprint of its lazy queries,
           which run {e inside} the RG search (so the slrg phase overlaps
           the rg one) *)
-  slrg_cache : slrg_cache;
   rg : phase;  (** items = RG nodes created *)
-  reuse : reuse_counters;
 }
 
 type report = Session.report = {
@@ -256,4 +240,9 @@ val plan_batch :
 val pp_failure : Format.formatter -> failure_reason -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
-val pp_phases : Format.formatter -> phases -> unit
+
+(** The CLI's [Phases:] line: per-phase [ms/items], the SLRG cache
+    counters [slrg_cache=hits/harvested/promoted] and the session-reuse
+    counters [reuse=invalidated/evicted] (both read from the report's
+    [stats]), then per-phase minor kilowords and major collections. *)
+val pp_phases : Format.formatter -> report -> unit

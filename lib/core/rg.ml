@@ -14,7 +14,37 @@ type stats = {
   order_repaired : int;
   slrg_deferred : int;
   slrg_saved : int;
+  slrg : Slrg.counters;
 }
+
+(* The one naming of the search counters.  The trace and the registry
+   are both fed from this table, so their names and values agree. *)
+let counter_table s =
+  [
+    ("rg.searches", 1);
+    ("rg.created", s.created);
+    ("rg.expanded", s.expanded);
+    ("rg.duplicates", s.duplicates);
+    ("rg.replay_pruned", s.replay_pruned);
+    ("rg.final_replay_rejected", s.final_replay_rejected);
+    ("rg.slrg_deferred", s.slrg_deferred);
+    ("rg.slrg_saved", s.slrg_saved);
+    ("slrg.set_nodes", s.slrg.set_nodes);
+    ("slrg.queries", s.slrg.queries);
+    ("slrg.cache_hits", s.slrg.cache_hits);
+    ("slrg.suffix_harvested", s.slrg.harvested);
+    ("slrg.bound_promoted", s.slrg.promoted);
+  ]
+
+let publish telemetry metrics s =
+  let table = counter_table s and open_left = float_of_int s.open_left in
+  List.iter (fun (name, v) -> Telemetry.count telemetry name v) table;
+  Telemetry.gauge telemetry "rg.open_left" open_left;
+  Option.iter
+    (fun m ->
+      List.iter (fun (name, v) -> Registry.count m name v) table;
+      Registry.set_gauge m "rg.open_left" open_left)
+    metrics
 
 type hsample = { set_size : int; g : float; h_slrg : float; h_plrg : float }
 type frontier = { f_tail : Action.t list; f_pending : int array }
@@ -89,6 +119,9 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   and duplicates = ref 0
   and deferred = ref 0
   and refined_count = ref 0 in
+  (* Oracle queries run only inside this search, so its share of the
+     oracle's counters is the difference against this snapshot. *)
+  let slrg0 = Slrg.counters slrg in
   (* The SLRG oracle owns the hash-consing ctx and the supports table;
      sharing them keeps handle ids consistent across the two phases and
      lets the regression memo and candidate cache pay off twice. *)
@@ -168,27 +201,7 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
        ~rs:(Replay.initial pb)
        ~chain:[]);
   let finish result =
-    if Telemetry.enabled telemetry then begin
-      Telemetry.count telemetry "rg.created" !created;
-      Telemetry.count telemetry "rg.expanded" !expanded;
-      Telemetry.count telemetry "rg.replay_pruned" !replay_pruned;
-      Telemetry.count telemetry "rg.final_replay_rejected" !final_rejected;
-      Telemetry.count telemetry "rg.duplicates" !duplicates;
-      Telemetry.count telemetry "rg.slrg_deferred" !deferred;
-      Telemetry.count telemetry "rg.slrg_saved" (!deferred - !refined_count);
-      Telemetry.gauge telemetry "rg.open_left" (float_of_int (Heap.length heap))
-    end;
-    (match metrics with
-    | Some m ->
-        (* Lifetime search-volume counters in the always-on registry; one
-           batch of records per search, so name resolution is fine. *)
-        Registry.count m "rg.searches" 1;
-        Registry.count m "rg.created" !created;
-        Registry.count m "rg.expanded" !expanded;
-        Registry.count m "rg.duplicates" !duplicates;
-        Registry.set_gauge m "rg.open_left" (float_of_int (Heap.length heap))
-    | None -> ());
-    ( result,
+    let stats =
       {
         created = !created;
         expanded = !expanded;
@@ -199,7 +212,11 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
         order_repaired = 0;
         slrg_deferred = !deferred;
         slrg_saved = !deferred - !refined_count;
-      } )
+        slrg = Slrg.counters_since slrg slrg0;
+      }
+    in
+    publish telemetry metrics stats;
+    (result, stats)
   in
   let rec loop () =
     match Heap.pop heap with

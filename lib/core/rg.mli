@@ -45,7 +45,16 @@ type stats = {
   slrg_saved : int;
       (** deferred nodes that terminated still unrefined — oracle queries
           the eager strategy would have paid and this search never ran *)
+  slrg : Slrg.counters;
+      (** what the SLRG oracle counted during this search (its queries
+          run only here) *)
 }
+
+(** The search's counters as [(name, value)] pairs — the one naming of
+    them.  {!search} publishes exactly this table to the trace (as
+    [Counter] totals) and to the registry, so both surfaces carry the
+    same [rg.*] / [slrg.*] names and values; [rg.searches] is always 1. *)
+val counter_table : stats -> (string * int) list
 
 (** One heuristic-quality sample, recorded (under [?profile]) for every
     node on the ancestor chain of the accepted solution: the node's
@@ -116,18 +125,16 @@ type result =
 
     [telemetry] emits a periodic ["rg"] progress heartbeat (every
     {!Sekitei_telemetry.Telemetry.progress_interval} expansions: open-list
-    size, best f, expansions, duplicates), counts search totals
-    ([rg.created], [rg.expanded], [rg.replay_pruned], [rg.duplicates],
-    [rg.final_replay_rejected], [rg.slrg_deferred], [rg.slrg_saved]),
-    and wraps each final candidate validation in a ["replay"] sub-span.
+    size, best f, expansions, duplicates) and wraps each final candidate
+    validation in a ["replay"] sub-span.
 
     [deadline] is polled once per expansion (at pop, after heuristic
     refinement); on expiry the search stops with [Deadline_reached]
     carrying the frontier-minimum f as a valid lower bound.
 
-    [metrics] records lifetime search volume into the always-on registry
-    once per search: ["rg.searches"] / ["rg.created"] / ["rg.expanded"] /
-    ["rg.duplicates"] counters and the ["rg.open_left"] gauge. *)
+    On return the search publishes its {!counter_table} once, to
+    [telemetry] (counter totals) and to the always-on registry [metrics],
+    together with the ["rg.open_left"] gauge on both. *)
 val search :
   ?max_expansions:int ->
   ?dedup:bool ->

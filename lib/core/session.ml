@@ -82,6 +82,7 @@ type stats = {
   final_replay_rejected : int;
   rg_duplicates : int;
   order_repaired : int;
+  slrg_queries : int;
   slrg_cache_hits : int;
   slrg_suffix_harvested : int;
   slrg_bound_promoted : int;
@@ -112,18 +113,7 @@ type phase = {
   major_collections : int;
 }
 
-type slrg_cache = { hits : int; harvested : int; promoted : int }
-
-type reuse_counters = { invalidated : int; evicted : int }
-
-type phases = {
-  compile : phase;
-  plrg : phase;
-  slrg : phase;
-  slrg_cache : slrg_cache;
-  rg : phase;
-  reuse : reuse_counters;
-}
+type phases = { compile : phase; plrg : phase; slrg : phase; rg : phase }
 
 type report = {
   result : (Plan.t, failure_reason) Stdlib.result;
@@ -147,6 +137,7 @@ let empty_stats =
     final_replay_rejected = 0;
     rg_duplicates = 0;
     order_repaired = 0;
+    slrg_queries = 0;
     slrg_cache_hits = 0;
     slrg_suffix_harvested = 0;
     slrg_bound_promoted = 0;
@@ -159,18 +150,9 @@ let empty_stats =
   }
 
 let no_phase = { ms = 0.; items = 0; minor_words = 0.; major_collections = 0 }
-let no_cache = { hits = 0; harvested = 0; promoted = 0 }
-let no_reuse = { invalidated = 0; evicted = 0 }
 
 let empty_phases =
-  {
-    compile = no_phase;
-    plrg = no_phase;
-    slrg = no_phase;
-    slrg_cache = no_cache;
-    rg = no_phase;
-    reuse = no_reuse;
-  }
+  { compile = no_phase; plrg = no_phase; slrg = no_phase; rg = no_phase }
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printers                                                     *)
@@ -209,7 +191,7 @@ let pp_stats fmt s =
     s.final_replay_rejected s.slrg_deferred s.slrg_saved
     s.invalidated_actions s.evicted_entries s.t_total_ms s.t_search_ms
 
-let pp_phases fmt p =
+let pp_phases fmt { phases = p; stats = s; _ } =
   (* gc_minor_kw / gc_major list the four phases in pipeline order:
      compile, plrg, slrg, rg. *)
   Format.fprintf fmt
@@ -217,8 +199,8 @@ let pp_phases fmt p =
      rg=%.1fms/%d reuse=%d/%d gc_minor_kw=%.0f/%.0f/%.0f/%.0f \
      gc_major=%d/%d/%d/%d"
     p.compile.ms p.compile.items p.plrg.ms p.plrg.items p.slrg.ms p.slrg.items
-    p.slrg_cache.hits p.slrg_cache.harvested p.slrg_cache.promoted p.rg.ms
-    p.rg.items p.reuse.invalidated p.reuse.evicted
+    s.slrg_cache_hits s.slrg_suffix_harvested s.slrg_bound_promoted p.rg.ms
+    p.rg.items s.invalidated_actions s.evicted_entries
     (p.compile.minor_words /. 1000.)
     (p.plrg.minor_words /. 1000.)
     (p.slrg.minor_words /. 1000.)
@@ -409,8 +391,8 @@ let record_metrics t ~was_warm (report : report) =
   phase_sample "phase.slrg_ms" report.phases.slrg;
   phase_sample "phase.rg_ms" report.phases.rg;
   Registry.count m "session.invalidated_actions"
-    report.phases.reuse.invalidated;
-  Registry.count m "session.evicted_entries" report.phases.reuse.evicted;
+    report.stats.invalidated_actions;
+  Registry.count m "session.evicted_entries" report.stats.evicted_entries;
   match report.result with
   | Ok p -> Registry.set_gauge m "plan.last_cost" p.Plan.cost_lb
   | Error _ -> ()
@@ -423,9 +405,8 @@ let plan_exn t =
     | None -> Deadline.none
     | Some ms -> Deadline.after_ms ms
   in
-  let reuse =
-    { invalidated = t.pending_invalidated; evicted = t.pending_evicted }
-  in
+  let invalidated_actions = t.pending_invalidated
+  and evicted_entries = t.pending_evicted in
   t.pending_invalidated <- 0;
   t.pending_evicted <- 0;
   let sp_plan = Telemetry.begin_span telemetry "plan" in
@@ -444,10 +425,8 @@ let plan_exn t =
           [ ("failure", Telemetry.Str (Format.asprintf "%a" pp_failure r)) ])
     in
     ignore (Telemetry.end_span telemetry sp_plan ~attrs);
-    let stats = { stats with invalidated_actions = reuse.invalidated;
-                  evicted_entries = reuse.evicted } in
-    { result; phases = { phases with reuse }; stats; explanation; certificate;
-      hquality }
+    let stats = { stats with invalidated_actions; evicted_entries } in
+    { result; phases; stats; explanation; certificate; hquality }
   in
   let invalid msg =
     finish (Error (Invalid_spec msg)) { empty_stats with t_total_ms = Timer.elapsed_ms t_total }
@@ -492,56 +471,14 @@ let plan_exn t =
           and plrg_phase = st.plrg_phase in
           st.compile_phase <- { st.compile_phase with ms = 0.; minor_words = 0.; major_collections = 0 };
           st.plrg_phase <- { st.plrg_phase with ms = 0.; minor_words = 0.; major_collections = 0 };
-          let base_stats search_ms slrg rg_stats =
+          let base_stats search_ms =
             {
+              empty_stats with
               total_actions;
               plrg_props;
               plrg_actions;
-              slrg_nodes =
-                (match slrg with Some (n, _, _, _, _, _, _) -> n | None -> 0);
-              rg_created =
-                (match rg_stats with
-                | Some (s : Rg.stats) -> s.Rg.created
-                | None -> 0);
-              rg_open_left =
-                (match rg_stats with Some s -> s.Rg.open_left | None -> 0);
-              rg_expanded =
-                (match rg_stats with Some s -> s.Rg.expanded | None -> 0);
-              replay_pruned =
-                (match rg_stats with Some s -> s.Rg.replay_pruned | None -> 0);
-              final_replay_rejected =
-                (match rg_stats with
-                | Some s -> s.Rg.final_replay_rejected
-                | None -> 0);
-              rg_duplicates =
-                (match rg_stats with Some s -> s.Rg.duplicates | None -> 0);
-              order_repaired = 0;
-              slrg_cache_hits =
-                (match slrg with Some (_, h, _, _, _, _, _) -> h | None -> 0);
-              slrg_suffix_harvested =
-                (match slrg with Some (_, _, h, _, _, _, _) -> h | None -> 0);
-              slrg_bound_promoted =
-                (match slrg with Some (_, _, _, p, _, _, _) -> p | None -> 0);
-              slrg_deferred =
-                (match rg_stats with Some s -> s.Rg.slrg_deferred | None -> 0);
-              slrg_saved =
-                (match rg_stats with Some s -> s.Rg.slrg_saved | None -> 0);
-              invalidated_actions = reuse.invalidated;
-              evicted_entries = reuse.evicted;
               t_total_ms = Timer.elapsed_ms t_total;
               t_search_ms = search_ms;
-            }
-          in
-          let base_phases ?(slrg_ms = 0.) ?(slrg_items = 0) ?(slrg_gc = (0., 0))
-              ?(slrg_cache = no_cache) ?(rg_ms = 0.) ?(rg_items = 0)
-              ?(rg_gc = (0., 0)) () =
-            {
-              compile = compile_phase;
-              plrg = plrg_phase;
-              slrg = mk_phase slrg_ms slrg_items slrg_gc;
-              slrg_cache;
-              rg = mk_phase rg_ms rg_items rg_gc;
-              reuse;
             }
           in
           if not (Plrg.goals_reachable plrg) then begin
@@ -553,10 +490,10 @@ let plan_exn t =
               else None
             in
             finish
-              ~phases:(base_phases ())
+              ~phases:{ empty_phases with compile = compile_phase; plrg = plrg_phase }
               ?certificate
               (Error (Unreachable_goal unreachable))
-              (base_stats (Timer.elapsed_ms t_search) None None)
+              (base_stats (Timer.elapsed_ms t_search))
           end
           else begin
             let sp_slrg = Telemetry.begin_span telemetry "slrg" in
@@ -578,16 +515,6 @@ let plan_exn t =
             Slrg.begin_request slrg ~deadline;
             let slrg_create_gc = gc_delta gc_slrg0 (gc_snap ()) in
             let slrg_create_ms = Telemetry.end_span telemetry sp_slrg in
-            (* Snapshot the oracle's cumulative counters: a warm session
-               reports per-request deltas, which for a fresh oracle equal
-               the totals the one-shot planner always reported. *)
-            let nodes0 = Slrg.nodes_generated slrg
-            and hits0 = Slrg.cache_hits slrg
-            and harv0 = Slrg.suffix_harvested slrg
-            and prom0 = Slrg.bound_promoted slrg
-            and qms0 = Slrg.query_ms slrg
-            and qgcw0 = Slrg.gc_minor_words slrg
-            and qgcm0 = Slrg.gc_major_collections slrg in
             let sp_rg = Telemetry.begin_span telemetry "rg" in
             let gc_rg0 = gc_snap () in
             let profile = if config.profile_h then Some (ref []) else None in
@@ -612,39 +539,43 @@ let plan_exn t =
                   rg_stats.Rg.created rg_stats.Rg.expanded
                   rg_stats.Rg.replay_pruned rg_stats.Rg.duplicates
                   rg_stats.Rg.final_replay_rejected);
-            let slrg_counters =
-              ( Slrg.nodes_generated slrg - nodes0,
-                Slrg.cache_hits slrg - hits0,
-                Slrg.suffix_harvested slrg - harv0,
-                Slrg.bound_promoted slrg - prom0,
-                Slrg.query_ms slrg -. qms0,
-                Slrg.gc_minor_words slrg -. qgcw0,
-                Slrg.gc_major_collections slrg - qgcm0 )
-            in
-            let ( slrg_nodes_d,
-                  hits_d,
-                  harv_d,
-                  prom_d,
-                  qms_d,
-                  qgcw_d,
-                  qgcm_d ) =
-              slrg_counters
-            in
+            (* The search's counter block carries this request's share of
+               the oracle's work (per-request deltas on a warm session). *)
+            let c = rg_stats.Rg.slrg in
             let stats =
-              base_stats (Timer.elapsed_ms t_search) (Some slrg_counters)
-                (Some rg_stats)
+              {
+                (base_stats (Timer.elapsed_ms t_search)) with
+                slrg_nodes = c.set_nodes;
+                rg_created = rg_stats.Rg.created;
+                rg_open_left = rg_stats.Rg.open_left;
+                rg_expanded = rg_stats.Rg.expanded;
+                replay_pruned = rg_stats.Rg.replay_pruned;
+                final_replay_rejected = rg_stats.Rg.final_replay_rejected;
+                rg_duplicates = rg_stats.Rg.duplicates;
+                slrg_queries = c.queries;
+                slrg_cache_hits = c.cache_hits;
+                slrg_suffix_harvested = c.harvested;
+                slrg_bound_promoted = c.promoted;
+                slrg_deferred = rg_stats.Rg.slrg_deferred;
+                slrg_saved = rg_stats.Rg.slrg_saved;
+              }
             in
             (* SLRG queries run lazily inside the RG search; their
                cumulative wall time and GC footprint are attributed to
                the slrg phase and are therefore a subset of the rg
                phase's own bracket. *)
             let phases =
-              base_phases
-                ~slrg_ms:(slrg_create_ms +. qms_d)
-                ~slrg_items:slrg_nodes_d
-                ~slrg_gc:(fst slrg_create_gc +. qgcw_d, snd slrg_create_gc + qgcm_d)
-                ~slrg_cache:{ hits = hits_d; harvested = harv_d; promoted = prom_d }
-                ~rg_ms ~rg_items:rg_stats.Rg.created ~rg_gc ()
+              {
+                compile = compile_phase;
+                plrg = plrg_phase;
+                slrg =
+                  mk_phase
+                    (slrg_create_ms +. c.query_ms)
+                    c.set_nodes
+                    ( fst slrg_create_gc +. c.query_minor_words,
+                      snd slrg_create_gc + c.query_major_collections );
+                rg = mk_phase rg_ms rg_stats.Rg.created rg_gc;
+              }
             in
             let hquality =
               match profile with

@@ -107,6 +107,7 @@ type stats = {
   final_replay_rejected : int;
   rg_duplicates : int;
   order_repaired : int;  (** always [0]; the RG no longer re-sequences *)
+  slrg_queries : int;  (** SLRG queries that ran an A* this request *)
   slrg_cache_hits : int;
       (** SLRG queries answered from cache {e during this request} (warm
           sessions report per-request deltas; for a one-shot run these
@@ -157,19 +158,6 @@ type phase = {
   major_collections : int;
 }
 
-(** Cross-query reuse counters of the SLRG cost oracle (printed by
-    {!pp_phases} as [slrg_cache=hits/harvested/promoted]). *)
-type slrg_cache = {
-  hits : int;  (** queries answered without running an A* *)
-  harvested : int;  (** suffix entries recorded beyond queried roots *)
-  promoted : int;  (** exhausted bounds replaced by exact entries *)
-}
-
-(** Session-reuse counters (printed by {!pp_phases} as
-    [reuse=invalidated/evicted]); both 0 for one-shot runs and for warm
-    requests with no intervening {!update}. *)
-type reuse_counters = { invalidated : int; evicted : int }
-
 type phases = {
   compile : phase;  (** items = leveled actions after pruning *)
   plrg : phase;  (** items = relevant propositions *)
@@ -177,9 +165,7 @@ type phases = {
       (** items = set nodes generated this request; [ms] = oracle
           construction (first request only) plus the footprint of its
           lazy queries, which run {e inside} the RG search *)
-  slrg_cache : slrg_cache;
   rg : phase;  (** items = RG nodes created *)
-  reuse : reuse_counters;
 }
 
 type report = {
@@ -278,4 +264,9 @@ val update : t -> delta -> t
 
 val pp_failure : Format.formatter -> failure_reason -> unit
 val pp_stats : Format.formatter -> stats -> unit
-val pp_phases : Format.formatter -> phases -> unit
+
+(** The CLI's [Phases:] line: per-phase [ms/items], the SLRG cache
+    counters [slrg_cache=hits/harvested/promoted] and the session-reuse
+    counters [reuse=invalidated/evicted] (both read from the report's
+    [stats]), then per-phase minor kilowords and major collections. *)
+val pp_phases : Format.formatter -> report -> unit

@@ -5,6 +5,17 @@ module Deadline = Sekitei_util.Deadline
 module Telemetry = Sekitei_telemetry.Telemetry
 module Registry = Sekitei_telemetry.Registry
 
+type counters = {
+  set_nodes : int;
+  queries : int;
+  cache_hits : int;
+  harvested : int;
+  promoted : int;
+  query_ms : float;
+  query_minor_words : float;
+  query_major_collections : int;
+}
+
 (* A budget-exhausted query caches its admissible bound together with the
    expansion budget it spent; a re-query re-runs the A* with that budget
    doubled (geometric, so total work per set stays linear in the final
@@ -58,17 +69,11 @@ type t = {
   mutable escalation_pool : int;
       (** remaining expansions escalated re-runs may spend, shared across
           all sets of this oracle *)
+  mutable queries : int;  (** non-memoized queries (A* runs) *)
   mutable cache_hits : int;
   mutable suffix_harvested : int;
   mutable bound_promoted : int;
   telemetry : Telemetry.t;
-  hit_ctr : Telemetry.counter;
-      (** pre-resolved cell for the per-hit bump — the one counter on the
-          memoized fast path, where a per-call name lookup would show *)
-  harv_ctr : Telemetry.counter;
-  prom_ctr : Telemetry.counter;
-  m_queries : Registry.counter option;
-  m_hits : Registry.counter option;
   m_query_ms : Registry.histogram option;
       (** per-query latency distribution in the always-on registry *)
   mutable query_ms : float;
@@ -99,15 +104,11 @@ let create ?(telemetry = Telemetry.null) ?metrics ?(query_budget = 500)
     bound_spent = Array.make 1024 0;
     generated = 0;
     escalation_pool = escalation_pool_factor * query_budget;
+    queries = 0;
     cache_hits = 0;
     suffix_harvested = 0;
     bound_promoted = 0;
     telemetry;
-    hit_ctr = Telemetry.counter telemetry "slrg.cache_hit";
-    harv_ctr = Telemetry.counter telemetry "slrg.suffix_harvested";
-    prom_ctr = Telemetry.counter telemetry "slrg.bound_promoted";
-    m_queries = Option.map (fun m -> Registry.counter m "slrg.queries") metrics;
-    m_hits = Option.map (fun m -> Registry.counter m "slrg.cache_hits") metrics;
     m_query_ms =
       Option.map (fun m -> Registry.histogram m "slrg.query_ms") metrics;
     query_ms = 0.;
@@ -202,11 +203,9 @@ let harvest t ~(root : Propset.handle) ~cost ~g_best ~parent from =
               if Float.is_nan (solved t s.Propset.id) then begin
                 set_solved t s.Propset.id c;
                 t.suffix_harvested <- t.suffix_harvested + 1;
-                Telemetry.incr t.harv_ctr 1;
                 if not (Float.is_nan (bound t s.Propset.id)) then begin
                   clear_bound t s.Propset.id;
-                  t.bound_promoted <- t.bound_promoted + 1;
-                  Telemetry.incr t.prom_ctr 1
+                  t.bound_promoted <- t.bound_promoted + 1
                 end
               end);
           match Itbl.find_opt parent s.Propset.id with
@@ -366,8 +365,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
             g_best;
         if not (Float.is_nan (bound t root.Propset.id)) then begin
           clear_bound t root.Propset.id;
-          t.bound_promoted <- t.bound_promoted + 1;
-          Telemetry.incr t.prom_ctr 1
+          t.bound_promoted <- t.bound_promoted + 1
         end;
         set_solved t root.Propset.id cost;
         cost
@@ -385,7 +383,7 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   in
   if prior <> None then t.escalation_pool <- t.escalation_pool - !expansions;
   let this_query_ms = Timer.elapsed_ms t0 in
-  (match t.m_queries with Some c -> Registry.incr c 1 | None -> ());
+  t.queries <- t.queries + 1;
   (match t.m_query_ms with
   | Some h -> Registry.observe h this_query_ms
   | None -> ());
@@ -407,11 +405,6 @@ let run_query t (root : Propset.handle) ~prior ~budget =
   | None -> ());
   cost
 
-let cache_hit t =
-  t.cache_hits <- t.cache_hits + 1;
-  Telemetry.incr t.hit_ctr 1;
-  match t.m_hits with Some c -> Registry.incr c 1 | None -> ()
-
 (* [root] must be a handle of this oracle's {!ctx} (the RG shares the ctx
    and passes its nodes' handles through unchanged; results are memoized
    by the handle's dense id). *)
@@ -420,7 +413,7 @@ let query_h t (root : Propset.handle) =
   else
     let c = solved t root.Propset.id in
     if not (Float.is_nan c) then begin
-      cache_hit t;
+      t.cache_hits <- t.cache_hits + 1;
       c
     end
     else
@@ -433,7 +426,7 @@ let query_h t (root : Propset.handle) =
           (* Escalation cap or shared pool exhausted: serve the bound
              like a cache entry so pathological sets cannot dominate
              planning time. *)
-          cache_hit t;
+          t.cache_hits <- t.cache_hits + 1;
           b
         end
         else
@@ -446,10 +439,32 @@ let query t props = query_set t (Propset.canonical t.problem props)
 let nodes_generated t = t.generated
 let query_ms t = t.query_ms
 let gc_minor_words t = t.gc_minor_words
-let gc_major_collections t = t.gc_major_collections
-let cache_hits t = t.cache_hits
-let suffix_harvested t = t.suffix_harvested
-let bound_promoted t = t.bound_promoted
+
+let counters t =
+  {
+    set_nodes = t.generated;
+    queries = t.queries;
+    cache_hits = t.cache_hits;
+    harvested = t.suffix_harvested;
+    promoted = t.bound_promoted;
+    query_ms = t.query_ms;
+    query_minor_words = t.gc_minor_words;
+    query_major_collections = t.gc_major_collections;
+  }
+
+let counters_since t (c0 : counters) =
+  let c = counters t in
+  {
+    set_nodes = c.set_nodes - c0.set_nodes;
+    queries = c.queries - c0.queries;
+    cache_hits = c.cache_hits - c0.cache_hits;
+    harvested = c.harvested - c0.harvested;
+    promoted = c.promoted - c0.promoted;
+    query_ms = c.query_ms -. c0.query_ms;
+    query_minor_words = c.query_minor_words -. c0.query_minor_words;
+    query_major_collections =
+      c.query_major_collections - c0.query_major_collections;
+  }
 
 let iter_solved t f =
   List.iter

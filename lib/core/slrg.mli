@@ -32,13 +32,12 @@
 type t
 
 (** [telemetry] attaches a ["slrg.query"] sub-span to every non-memoized
-    query (set size, A* expansions, resulting cost) and counts cache hits
-    ([slrg.cache_hit]), harvested suffix entries ([slrg.suffix_harvested])
-    and bound promotions ([slrg.bound_promoted]).  [metrics] additionally
-    records into the always-on registry: a ["slrg.query_ms"] per-query
-    latency histogram plus ["slrg.queries"] / ["slrg.cache_hits"]
-    counters (handles are resolved once here, on the creating domain, so
-    recording stays off the registry's locks). *)
+    query (set size, A* expansions, resulting cost).  [metrics] records
+    the ["slrg.query_ms"] per-query latency histogram into the always-on
+    registry (the handle is resolved once here, on the creating domain,
+    so recording stays off the registry's locks).  The oracle's counters
+    ({!counters}) are plain fields; {!Rg.search} publishes their
+    per-search deltas under [slrg.*] names. *)
 val create :
   ?telemetry:Sekitei_telemetry.Telemetry.t ->
   ?metrics:Sekitei_telemetry.Registry.t ->
@@ -89,20 +88,30 @@ val query_ms : t -> float
     {!query_ms}). *)
 val gc_minor_words : t -> float
 
-(** Major collections triggered inside non-memoized queries. *)
-val gc_major_collections : t -> int
+(** The oracle's cumulative counters. *)
+type counters = {
+  set_nodes : int;  (** = {!nodes_generated} *)
+  queries : int;  (** non-memoized queries (each runs one A* ) *)
+  cache_hits : int;
+      (** queries answered from the solved or capped-bound caches
+          without running an A* *)
+  harvested : int;
+      (** exact cache entries recorded by suffix-cost harvesting beyond
+          the queried roots themselves *)
+  promoted : int;
+      (** budget-exhausted bounds later replaced by exact solved entries
+          (escalated re-query or harvest) *)
+  query_ms : float;  (** = {!query_ms} *)
+  query_minor_words : float;  (** = {!gc_minor_words} *)
+  query_major_collections : int;
+      (** major collections triggered inside non-memoized queries *)
+}
 
-(** Queries answered from the solved or capped-bound caches without
-    running an A*. *)
-val cache_hits : t -> int
+val counters : t -> counters
 
-(** Exact cache entries recorded by suffix-cost harvesting beyond the
-    queried roots themselves. *)
-val suffix_harvested : t -> int
-
-(** Budget-exhausted bounds later replaced by exact solved entries
-    (escalated re-query or harvest). *)
-val bound_promoted : t -> int
+(** [counters_since t c0]: what the oracle counted since the snapshot
+    [c0 = counters t] was taken (field-wise difference). *)
+val counters_since : t -> counters -> counters
 
 (** Iterate over every exact solved cache entry (canonical set, cost).
     Exposed for cache-consistency tests and diagnostics; the iteration

@@ -130,6 +130,13 @@ let parse_cond_or_fail what text =
   | c -> c
   | exception Expr.Parse_error m -> fail "%s: %s in %S" what m text
 
+(* Numbers must be finite: NaN fails every comparison, so it would slip
+   past range checks, and an interval has no infinite point. *)
+let number what s ~stmt =
+  match float_of_string_opt s with
+  | Some f when Float.is_finite f -> f
+  | _ -> fail "bad %s %S in %S" what s stmt
+
 let drop_prefix prefix stmt =
   let pl = String.length prefix in
   if String.length stmt > pl && String.sub stmt 0 pl = prefix then
@@ -151,9 +158,12 @@ let parse_property rest =
   match words rest with
   | [ name ] -> Model.property name
   | [ name; tag ] -> Model.property ~tag:(parse_tag tag) name
-  | [ name; "="; v ] -> Model.property ~default:(float_of_string v) name
+  | [ name; "="; v ] ->
+      Model.property ~default:(number "property default" v ~stmt:rest) name
   | [ name; "="; v; tag ] ->
-      Model.property ~default:(float_of_string v) ~tag:(parse_tag tag) name
+      Model.property
+        ~default:(number "property default" v ~stmt:rest)
+        ~tag:(parse_tag tag) name
   | _ -> fail "bad property statement %S" rest
 
 let parse_levels_stmt rest =
@@ -167,11 +177,13 @@ let parse_levels_stmt rest =
         |> String.split_on_char ','
         |> List.map String.trim
         |> List.filter (fun s -> s <> "")
-        |> List.map (fun s ->
-               match float_of_string_opt s with
-               | Some f -> f
-               | None -> fail "bad cutpoint %S" s)
+        |> List.map (fun s -> number "cutpoint" s ~stmt:rest)
       in
+      (match Sekitei_util.Interval.of_cutpoints cuts with
+      | _ -> ()
+      | exception Invalid_argument _ ->
+          fail "levels %S: cutpoints must be positive and strictly increasing"
+            rest);
       (target, cuts)
 
 let parse_iface name stmts =
@@ -298,15 +310,11 @@ let parse_component name stmts =
 (* Network block                                                          *)
 (* --------------------------------------------------------------------- *)
 
-let rec parse_resource_pairs acc = function
+let rec parse_resource_pairs ~stmt acc = function
   | [] -> List.rev acc
   | name :: value :: rest ->
-      let v =
-        match float_of_string_opt value with
-        | Some v -> v
-        | None -> fail "bad resource value %S" value
-      in
-      parse_resource_pairs ((name, v) :: acc) rest
+      let v = number "resource value" value ~stmt in
+      parse_resource_pairs ~stmt ((name, v) :: acc) rest
   | [ odd ] -> fail "dangling resource token %S" odd
 
 let parse_network stmts =
@@ -321,7 +329,7 @@ let parse_network stmts =
       | Some rest -> (
           match words rest with
           | name :: res_tokens ->
-              let resources = parse_resource_pairs [] res_tokens in
+              let resources = parse_resource_pairs ~stmt [] res_tokens in
               let cpu = Option.value (List.assoc_opt "cpu" resources) ~default:30. in
               let extra = List.remove_assoc "cpu" resources in
               if Hashtbl.mem node_names name then fail "duplicate node %S" name;
@@ -340,7 +348,7 @@ let parse_network stmts =
                     | "wan" -> Topology.Wan
                     | k -> fail "unknown link kind %S (lan|wan)" k
                   in
-                  let resources = parse_resource_pairs [] res_tokens in
+                  let resources = parse_resource_pairs ~stmt [] res_tokens in
                   let bw = List.assoc_opt "lbw" resources in
                   let extra = List.remove_assoc "lbw" resources in
                   let id_of n =
@@ -348,6 +356,7 @@ let parse_network stmts =
                     | Some id -> id
                     | None -> fail "link references unknown node %S" n
                   in
+                  if a = b then fail "bad link %S: joins node %S to itself" stmt a;
                   links :=
                     Topology.link ?bw ~resources:extra kind !next_link (id_of a)
                       (id_of b)
@@ -399,7 +408,10 @@ let parse_deploy node_names stmts =
                   let iface, prop = split_dotted qualified in
                   goals :=
                     Model.Available
-                      (iface, prop, node_id node_names node, float_of_string v)
+                      ( iface,
+                        prop,
+                        node_id node_names node,
+                        number "goal threshold" v ~stmt )
                     :: !goals
               | _ -> fail "bad goal statement %S" stmt)
           | None -> fail "unknown deploy statement %S" stmt))

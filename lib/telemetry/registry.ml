@@ -1,13 +1,12 @@
 (* Named metric registry with per-domain shards.
 
    Every recording domain gets its own shard — a trio of hashtables
-   keyed by metric name — resolved once per handle creation, so a
-   Domain_pool worker records into private cells with no cross-domain
-   contention: incrementing a counter is an [int ref] bump, observing a
-   latency is a Histogram array store.  Mutexes guard only the
-   structural operations (finding/creating a shard, creating a metric in
-   a shard, walking the tables for a snapshot); the recording fast path
-   takes no lock.
+   keyed by metric name — so a Domain_pool worker records into private
+   cells with no cross-domain contention.  Mutexes guard only the
+   structural operations (finding/creating a shard or a metric, walking
+   the tables for a snapshot); observing through a resolved histogram
+   handle — the one per-query record, in the SLRG oracle — is a
+   Histogram array store and takes no lock.
 
    [snapshot] merges shards into one coherent view: counters sum,
    histograms merge bucket-wise (associative, so shard order is
@@ -19,13 +18,11 @@
 
 module Histogram = Sekitei_util.Histogram
 
-type counter = int ref
-type gauge = { g_seq : int Atomic.t; cell : (float * int) ref }
 type histogram = Histogram.t
 
 type shard = {
   lock : Mutex.t;  (* guards metric creation and snapshot walks *)
-  counters : (string, counter) Hashtbl.t;
+  counters : (string, int ref) Hashtbl.t;
   gauges : (string, (float * int) ref) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
 }
@@ -79,20 +76,7 @@ let find_or_create shard table name make =
           Hashtbl.add table name v;
           v)
 
-(* ---------------- handles ---------------- *)
-
-let counter t name =
-  let shard = shard_for t in
-  find_or_create shard shard.counters name (fun () -> ref 0)
-
-let incr c n = c := !c + n
-
-let gauge t name =
-  let shard = shard_for t in
-  let cell = find_or_create shard shard.gauges name (fun () -> ref (Float.nan, 0)) in
-  { g_seq = t.seq; cell }
-
-let set g v = g.cell := (v, Atomic.fetch_and_add g.g_seq 1)
+(* ---------------- recording ---------------- *)
 
 let histogram t name =
   let shard = shard_for t in
@@ -101,10 +85,18 @@ let histogram t name =
 
 let observe h v = Histogram.add h v
 
-(* name-resolved conveniences for cold paths *)
+let count t name n =
+  let shard = shard_for t in
+  let c = find_or_create shard shard.counters name (fun () -> ref 0) in
+  c := !c + n
 
-let count t name n = incr (counter t name) n
-let set_gauge t name v = set (gauge t name) v
+let set_gauge t name v =
+  let shard = shard_for t in
+  let cell =
+    find_or_create shard shard.gauges name (fun () -> ref (Float.nan, 0))
+  in
+  cell := (v, Atomic.fetch_and_add t.seq 1)
+
 let observe_ms t name v = observe (histogram t name) v
 
 (* ---------------- snapshot ---------------- *)

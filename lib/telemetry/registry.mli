@@ -2,11 +2,11 @@
     {!Sekitei_util.Histogram} latency/size distributions — with
     per-domain shards.
 
-    Handles resolve to the {e calling} domain's shard, so each
-    [Domain_pool] worker records into private cells and never contends:
-    {!incr} is an [int ref] bump, {!observe} a histogram array store,
-    {!set} a ref store.  Locks guard only structure (shard/metric
-    creation, snapshot walks), never the recording fast path.
+    Records land in the {e calling} domain's shard, so each
+    [Domain_pool] worker records into private cells and never contends.
+    A {!histogram} handle is resolved once, after which {!observe} is a
+    histogram array store; locks guard only structure (shard/metric
+    creation, snapshot walks), never that fast path.
 
     {!snapshot} merges every shard into one coherent view: counters sum,
     histograms merge (associatively — see {!Sekitei_util.Histogram}),
@@ -28,23 +28,17 @@ val create : ?rel_error:float -> unit -> t
 
 val rel_error : t -> float
 
-(** {1 Handles} *)
+(** {1 Recording} *)
 
-type counter
-type gauge
 type histogram
 
-(** Find-or-create the named metric in the calling domain's shard. *)
-val counter : t -> string -> counter
-
-val gauge : t -> string -> gauge
+(** Find-or-create the named histogram in the calling domain's shard. *)
 val histogram : t -> string -> histogram
-val incr : counter -> int -> unit
-val set : gauge -> float -> unit
+
 val observe : histogram -> float -> unit
 
-(** {1 Name-resolved conveniences} — one-shot record on cold paths
-    (resolve shard + metric per call). *)
+(** Name-resolved records for cold paths (resolve shard + metric per
+    call). *)
 
 val count : t -> string -> int -> unit
 

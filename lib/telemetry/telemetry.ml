@@ -244,27 +244,11 @@ let with_span_timed ?attrs t name f =
 
 (* ---------------- counters / gauges / progress ---------------- *)
 
-let find_cell t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
-
 let count t name n =
-  if t.active then begin
-    let r = find_cell t name in
-    r := !r + n
-  end
-
-type counter = { c_active : bool; cell : int ref }
-
-let counter t name =
-  if t.active then { c_active = true; cell = find_cell t name }
-  else { c_active = false; cell = ref 0 }
-
-let incr c n = if c.c_active then c.cell := !(c.cell) + n
+  if t.active then
+    match Hashtbl.find_opt t.counters name with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.add t.counters name (ref n)
 
 let counter_total t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -344,7 +328,7 @@ let jsonl oc =
         output_string oc (Json.to_string (json_of_event ev));
         output_char oc '\n';
         match ev with
-        | Span_begin _ -> Stdlib.incr depth
+        | Span_begin _ -> incr depth
         | Span_end _ ->
             depth := Stdlib.max 0 (!depth - 1);
             if !depth = 0 then flush oc

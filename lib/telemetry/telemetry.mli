@@ -136,19 +136,6 @@ val with_span_timed :
     by {!flush_counters}). *)
 val count : t -> string -> int -> unit
 
-(** A pre-resolved counter cell: {!incr} is a branch plus an integer
-    add — no per-call name hashing — so hot loops (SLRG cache hits, RG
-    expansions) can count unconditionally.  Under {!null} the handle is
-    inert. *)
-type counter
-
-(** [counter t name] resolves (creating if needed) the named counter's
-    cell.  Later {!count}/{!counter_total} calls for the same name see
-    increments made through the handle. *)
-val counter : t -> string -> counter
-
-val incr : counter -> int -> unit
-
 (** Current aggregate (0 for unknown names or under {!null}). *)
 val counter_total : t -> string -> int
 

@@ -166,9 +166,13 @@ let test_slrg_cache_hits_counted () =
   let slrg = Slrg.create pb plrg in
   let goal = pb.Problem.goal_props.(0) in
   ignore (Slrg.query slrg [ goal ]);
-  Alcotest.(check int) "first query misses" 0 (Slrg.cache_hits slrg);
+  let c1 = Slrg.counters slrg in
+  Alcotest.(check int) "first query misses" 0 c1.Slrg.cache_hits;
+  Alcotest.(check int) "first query runs an A*" 1 c1.Slrg.queries;
   ignore (Slrg.query slrg [ goal ]);
-  Alcotest.(check int) "second query hits" 1 (Slrg.cache_hits slrg)
+  let c2 = Slrg.counters_since slrg c1 in
+  Alcotest.(check int) "second query hits" 1 c2.Slrg.cache_hits;
+  Alcotest.(check int) "second query runs no A*" 0 c2.Slrg.queries
 
 let test_slrg_bound_escalation () =
   (* A query_budget:1 oracle starts with only an exhausted bound for the
@@ -193,12 +197,12 @@ let test_slrg_bound_escalation () =
   done;
   Alcotest.(check (float 1e-9)) "escalates to the exact value" exact !final;
   Alcotest.(check bool) "bound promoted to solved" true
-    (Slrg.bound_promoted small >= 1);
+    ((Slrg.counters small).Slrg.promoted >= 1);
   (* Once solved, further queries are pure cache hits. *)
-  let hits = Slrg.cache_hits small in
+  let hits = (Slrg.counters small).Slrg.cache_hits in
   ignore (Slrg.query small [ goal ]);
   Alcotest.(check int) "post-promotion query hits cache" (hits + 1)
-    (Slrg.cache_hits small)
+    ((Slrg.counters small).Slrg.cache_hits)
 
 let test_slrg_harvest_agrees_with_fresh () =
   (* Every suffix-harvested solved entry must equal what a fresh,
@@ -210,7 +214,7 @@ let test_slrg_harvest_agrees_with_fresh () =
   let goal = pb.Problem.goal_props.(0) in
   ignore (Slrg.query slrg [ goal ]);
   Alcotest.(check bool) "harvested beyond the root" true
-    (Slrg.suffix_harvested slrg > 0);
+    ((Slrg.counters slrg).Slrg.harvested > 0);
   let fresh = Slrg.create ~query_budget:1_000_000 pb plrg in
   let checked = ref 0 in
   Slrg.iter_solved slrg (fun set cost ->

@@ -114,6 +114,43 @@ let test_errors () =
   expect_error "deploy { place X at n0; }";
   expect_error "stray statement;"
 
+(* Malformed numbers, NaN or infinite values, unordered cutpoints and
+   self-loops in an otherwise valid spec: each must be a [Dsl_error]
+   naming the statement, never an exception from the layers below. *)
+let test_malformed_values () =
+  let split = Sekitei_spec.Str_split.split_once in
+  let expect ~replace ~by =
+    let text =
+      match split minimal replace with
+      | Some (before, after) -> before ^ by ^ after
+      | None -> Alcotest.failf "%S not in the base spec" replace
+    in
+    match Dsl.parse_document text with
+    | _ -> Alcotest.failf "expected Dsl_error for %S" by
+    | exception Dsl.Dsl_error msg ->
+        (* The statement body, without its keyword and terminator. *)
+        let body =
+          match split (String.sub by 0 (String.length by - 1)) " " with
+          | Some (_, body) -> body
+          | None -> by
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %S" msg body)
+          true
+          (split msg body <> None)
+  in
+  expect ~replace:"levels ibw: 10, 20;" ~by:"levels ibw: 20, 10;";
+  expect ~replace:"levels ibw: 10, 20;" ~by:"levels ibw: nan, 20;";
+  expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- a lan lbw 100;";
+  expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- b lan lbw nan;";
+  expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- b lan lbw inf;";
+  expect ~replace:"node a cpu 30;" ~by:"node a cpu nan;";
+  expect ~replace:"property ibw degradable;" ~by:"property ibw = abc;";
+  expect ~replace:"property ibw degradable;" ~by:"property ibw = nan;";
+  expect ~replace:"goal Snk on b;" ~by:"goal S.ibw >= abc on b;";
+  expect ~replace:"goal Snk on b;" ~by:"goal S.ibw >= nan on b;";
+  expect ~replace:"goal Snk on b;" ~by:"goal S.ibw >= inf on b;"
+
 let test_bad_expression_reported () =
   expect_error
     {|
@@ -170,6 +207,7 @@ let suite =
     ("property default and tag", `Quick, test_property_default_and_tag);
     ("top-level link levels", `Quick, test_top_level_link_levels);
     ("errors", `Quick, test_errors);
+    ("malformed values rejected", `Quick, test_malformed_values);
     ("bad expression reported", `Quick, test_bad_expression_reported);
     ("round-trip media", `Quick, test_roundtrip_media);
     ("print without topo", `Quick, test_print_without_topo);

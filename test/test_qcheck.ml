@@ -264,8 +264,32 @@ let prop_planner_sound =
 
 (* Running the planner with a memory-sink telemetry handle must return
    exactly the same plan, cost and search statistics as the null handle:
-   tracing observes the search, it never steers it. *)
+   tracing observes the search, it never steers it.
+
+   The traced run also checks that the counter surfaces agree: every
+   [rg.*] / [slrg.*] counter the search publishes has one name and one
+   value in the trace, in the session registry and in [Planner.stats]
+   ([rg.searches] is 1 when the search ran), and the [rg.open_left]
+   gauge matches [rg_open_left] on both surfaces. *)
+let stats_counters =
+  [
+    ("rg.created", fun s -> s.Planner.rg_created);
+    ("rg.expanded", fun s -> s.Planner.rg_expanded);
+    ("rg.duplicates", fun s -> s.Planner.rg_duplicates);
+    ("rg.replay_pruned", fun s -> s.Planner.replay_pruned);
+    ("rg.final_replay_rejected", fun s -> s.Planner.final_replay_rejected);
+    ("rg.slrg_deferred", fun s -> s.Planner.slrg_deferred);
+    ("rg.slrg_saved", fun s -> s.Planner.slrg_saved);
+    ("slrg.set_nodes", fun s -> s.Planner.slrg_nodes);
+    ("slrg.queries", fun s -> s.Planner.slrg_queries);
+    ("slrg.cache_hits", fun s -> s.Planner.slrg_cache_hits);
+    ("slrg.suffix_harvested", fun s -> s.Planner.slrg_suffix_harvested);
+    ("slrg.bound_promoted", fun s -> s.Planner.slrg_bound_promoted);
+  ]
+
 let prop_telemetry_transparent =
+  let module Telemetry = Sekitei_telemetry.Telemetry in
+  let module Registry = Sekitei_telemetry.Registry in
   let config =
     { Planner.default_config with Planner.rg_max_expansions = 5_000 }
   in
@@ -274,12 +298,14 @@ let prop_telemetry_transparent =
     (fun inst ->
       let topo, app, leveling = media_line_instance inst in
       let quiet = Planner.plan (Planner.request ~config topo app ~leveling) in
-      let sink, events = Sekitei_telemetry.Telemetry.memory () in
-      let telemetry = Sekitei_telemetry.Telemetry.create [ sink ] in
+      let sink, events = Telemetry.memory () in
+      let telemetry = Telemetry.create [ sink ] in
+      let metrics = Registry.create () in
       let traced =
-        Planner.plan (Planner.request ~config ~telemetry topo app ~leveling)
+        Planner.plan ~metrics
+          (Planner.request ~config ~telemetry topo app ~leveling)
       in
-      Sekitei_telemetry.Telemetry.close telemetry;
+      Telemetry.close telemetry;
       let same_result =
         match (quiet.Planner.result, traced.Planner.result) with
         | Ok p1, Ok p2 ->
@@ -289,6 +315,51 @@ let prop_telemetry_transparent =
         | _ -> false
       in
       let s1 = quiet.Planner.stats and s2 = traced.Planner.stats in
+      let events = events () in
+      let search_counter name =
+        String.starts_with ~prefix:"rg." name
+        || String.starts_with ~prefix:"slrg." name
+      in
+      (* Counters are flushed at plan end and again on close: the last
+         total per name counts. *)
+      let trace =
+        List.fold_left
+          (fun acc -> function
+            | Telemetry.Counter { name; total; _ } when search_counter name ->
+                (name, total) :: List.remove_assoc name acc
+            | _ -> acc)
+          [] events
+        |> List.sort compare
+      and open_left =
+        List.fold_left
+          (fun acc -> function
+            | Telemetry.Gauge { name = "rg.open_left"; value; _ } -> Some value
+            | _ -> acc)
+          None events
+      in
+      let snap = Registry.snapshot metrics in
+      let registry =
+        List.filter (fun (name, _) -> search_counter name) (Registry.counters snap)
+      in
+      let searched =
+        List.exists
+          (function Telemetry.Span_begin { name = "rg"; _ } -> true | _ -> false)
+          events
+      in
+      let expected =
+        if searched then
+          List.sort compare
+            (("rg.searches", 1)
+            :: List.map (fun (name, of_stats) -> (name, of_stats s2)) stats_counters)
+        else []
+      in
+      let surfaces_agree =
+        trace = expected && registry = expected
+        && ((not searched)
+           ||
+           let v = Some (float_of_int s2.Planner.rg_open_left) in
+           open_left = v && Registry.gauge_value snap "rg.open_left" = v)
+      in
       same_result
       && s1.Planner.rg_created = s2.Planner.rg_created
       && s1.Planner.rg_expanded = s2.Planner.rg_expanded
@@ -297,7 +368,7 @@ let prop_telemetry_transparent =
       && s1.Planner.slrg_cache_hits = s2.Planner.slrg_cache_hits
       && s1.Planner.slrg_suffix_harvested = s2.Planner.slrg_suffix_harvested
       && s1.Planner.slrg_bound_promoted = s2.Planner.slrg_bound_promoted
-      && events () <> [])
+      && surfaces_agree && events <> [])
 
 (* ---------------- recorded heuristics are admissible ---------------- *)
 
@@ -867,6 +938,101 @@ let prop_prune_bit_identical =
           Float.equal f1 f2
       | _ -> false)
 
+(* ---------------- spec robustness fuzz ---------------- *)
+
+(* Token-level mutations of the shipped specs: replace, drop or
+   duplicate one token, or truncate the text.  The parser must return or
+   raise [Dsl_error], and validation of whatever parses must not raise
+   at all — malformed input yields diagnostics, never an escaping
+   exception. *)
+let shipped_specs =
+  lazy
+    (List.map
+       (fun path ->
+         let ic = open_in_bin path in
+         Fun.protect
+           ~finally:(fun () -> close_in ic)
+           (fun () -> really_input_string ic (in_channel_length ic)))
+       [
+         "spec.file";
+         "../examples/specs/video.spec";
+         "../examples/specs/infeasible.spec";
+       ])
+
+type spec_mutation =
+  | Replace of int * string
+  | Drop of int
+  | Duplicate of int
+  | Truncate of int
+
+let junk_tokens =
+  [ "nan"; "-nan"; "inf"; "-1"; "0"; "1e400"; "abc"; "{"; "}"; ";"; "--";
+    ":="; ">="; ","; ":"; "."; "lan"; "wan"; "on"; "levels"; "link" ]
+
+let mutate_spec text m =
+  (* Punctuation stands alone, so a replaced value keeps its statement's
+     terminator and the mutant often still parses. *)
+  let spaced =
+    String.to_seq text
+    |> Seq.map (function
+         | (';' | ',' | '{' | '}') as c -> Printf.sprintf " %c " c
+         | c -> String.make 1 c)
+    |> List.of_seq |> String.concat ""
+  in
+  let tokens =
+    String.split_on_char '\n' spaced
+    |> List.concat_map (fun l -> String.split_on_char ' ' l @ [ "\n" ])
+    |> List.filter (fun t -> t <> "")
+    |> Array.of_list
+  in
+  let n = Array.length tokens in
+  let pick i = i mod n in
+  let rebuild ts =
+    String.concat " " (List.filter (fun t -> t <> "") (Array.to_list ts))
+  in
+  match m with
+  | Replace (i, tok) ->
+      let ts = Array.copy tokens in
+      ts.(pick i) <- tok;
+      rebuild ts
+  | Drop i ->
+      let ts = Array.copy tokens in
+      ts.(pick i) <- "";
+      rebuild ts
+  | Duplicate i ->
+      let i = pick i in
+      rebuild
+        (Array.concat
+           [ Array.sub tokens 0 (i + 1); Array.sub tokens i (n - i) ])
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+
+let prop_spec_fuzz =
+  let gen =
+    Q.Gen.(
+      pair (int_bound 2)
+        (oneof
+           [
+             map2 (fun i t -> Replace (i, t)) nat (oneofl junk_tokens);
+             map (fun i -> Drop i) nat;
+             map (fun i -> Duplicate i) nat;
+             map (fun k -> Truncate k) nat;
+           ]))
+  in
+  let print (spec, m) =
+    let text = mutate_spec (List.nth (Lazy.force shipped_specs) spec) m in
+    Printf.sprintf "spec %d mutated to:\n%s" spec text
+  in
+  Q.Test.make ~count:3000 ~name:"mutated specs yield diagnostics, not exceptions"
+    (Q.make ~print gen)
+    (fun (spec, m) ->
+      let text = mutate_spec (List.nth (Lazy.force shipped_specs) spec) m in
+      match Sekitei_spec.Dsl.parse_document text with
+      | exception Sekitei_spec.Dsl.Dsl_error _ -> true
+      | { Sekitei_spec.Dsl.topo = None; _ } -> true
+      | { Sekitei_spec.Dsl.topo = Some topo; app; _ } ->
+          ignore (Sekitei_spec.Validate.check_diagnostics topo app);
+          true)
+
 let to_alcotest = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -899,4 +1065,5 @@ let suite =
       prop_plans_certify;
       prop_mutations_rejected;
       prop_prune_bit_identical;
+      prop_spec_fuzz;
     ]
