@@ -1,4 +1,4 @@
-.PHONY: build test lint cram check check-smoke bench bench-json bench-gate metrics-smoke perfbench-build profile clean
+.PHONY: build test lint cram check check-smoke bench metrics-smoke perfbench-build profile clean
 
 build:
 	dune build
@@ -33,10 +33,10 @@ cram:
 	dune test --force test/cli.t
 
 # One-stop verification: lint, build, the full test suite (unit +
-# property + cram), an explicit uncached run of the session/mutation
-# cram, a fresh machine-readable bench run re-parsed through the JSON
-# schema checker and diffed against the checked-in baseline, and a build
-# of the perfbench benchmark against the current lib/.
+# property + cram, including the exact pin of the Table 2 search
+# counters), an explicit uncached run of the session/mutation cram, the
+# static-analysis smoke, the metrics smoke, and a build of the perfbench
+# benchmark against the current lib/.
 check:
 	$(MAKE) lint
 	dune build
@@ -44,7 +44,6 @@ check:
 	$(MAKE) cram
 	$(MAKE) check-smoke
 	$(MAKE) metrics-smoke
-	$(MAKE) bench-gate
 	$(MAKE) perfbench-build
 
 # Benchmark build guard: perfbench/run.py mirrors lib/ into .bench_build/
@@ -79,19 +78,6 @@ check-smoke:
 	    echo "check-smoke: $$spec clean";; \
 	  esac; \
 	done
-
-# Regression gate: rerun the tracked scenarios and fail if any gated
-# metric (search_ms, rg_created, slrg_ms, warm_search_ms) regressed
-# >200% against BENCH_rg.json.  The timing threshold is deliberately
-# loose — the small scenarios finish in well under a millisecond, where
-# run-to-run noise is large — while rg_created is exactly reproducible,
-# so an algorithmic search-space blowup trips the gate on any hardware.
-# After an intentional perf change, refresh the baseline with
-# `make bench-json` and commit the BENCH_rg.json diff.
-bench-gate:
-	dune exec bench/main.exe -- --json --check --repeat 3 --jobs 1 --warm \
-	  --out /tmp/sekitei_bench_gate.json \
-	  --baseline BENCH_rg.json --max-regress 200
 
 # Observability smoke: plan Small-C through the metrics subcommand and
 # schema-validate both exposition formats (--check exits 3 on a schema
@@ -135,16 +121,6 @@ metrics-smoke:
 # Full benchmark run: every paper exhibit, ablations, microbenchmarks.
 bench:
 	dune exec bench/main.exe
-
-# Machine-readable planner benchmark: writes BENCH_rg.json (and stdout).
-# The perf trajectory of the RG search is tracked across commits there.
-# Timings are the median of 3 repeats (first-run JIT/GC noise dominates
-# single-shot numbers); --jobs 1 keeps the recorded timings sequential —
-# the same configuration the bench-gate measures against.  --warm also
-# records warm_search_ms, the search time of a session re-plan that
-# reuses the compiled problem and the hot SLRG oracle.
-bench-json:
-	dune exec bench/main.exe -- --json --tag pr9 --repeat 3 --jobs 1 --warm
 
 # Profile the Small-C run: trace every planner phase to JSONL and render
 # the span tree / counter summary.

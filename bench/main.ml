@@ -204,103 +204,9 @@ let microbenches () =
       | _ -> Printf.printf "%-28s (no estimate)\n" name)
     (List.sort compare names)
 
-(* ------------------------------------------------------------------ *)
-(* Machine-readable mode: --json [--tag TAG] [--out FILE] [--check]    *)
-(*                        [--repeat N] [--jobs N] [--warm]             *)
-(*                        [--baseline FILE [--max-regress PCT]]        *)
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let json_mode () =
-  let module Bench_json = Sekitei_harness.Bench_json in
-  let rec opt_arg flag = function
-    | [] | [ _ ] -> None
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> opt_arg flag rest
-  in
-  let argv = Array.to_list Sys.argv in
-  let tag = opt_arg "--tag" argv in
-  let out = Option.value (opt_arg "--out" argv) ~default:"BENCH_rg.json" in
-  let check = List.mem "--check" argv in
-  let baseline = opt_arg "--baseline" argv in
-  let max_regress =
-    match opt_arg "--max-regress" argv with
-    | None -> 50.
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v -> v
-        | None ->
-            Printf.eprintf "bench json: bad --max-regress %S\n" s;
-            exit 2)
-  in
-  let int_arg flag default =
-    match opt_arg flag argv with
-    | None -> default
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v -> v
-        | None ->
-            Printf.eprintf "bench json: bad %s %S\n" flag s;
-            exit 2)
-  in
-  let repeat = int_arg "--repeat" 1 in
-  (* --jobs 0 (or negative) = one worker per recommended domain. *)
-  let jobs =
-    match int_arg "--jobs" 1 with
-    | j when j >= 1 -> j
-    | _ -> Sekitei_util.Domain_pool.default_jobs ()
-  in
-  (* --warm additionally times session re-plans (warm_search_ms). *)
-  let warm = List.mem "--warm" argv in
-  (* --no-metrics disarms the registry + flight recorder the bench
-     otherwise arms on every run (the production configuration); the
-     A/B against a default run is the observability overhead number
-     EXPERIMENTS.md tracks. *)
-  let metrics_armed = not (List.mem "--no-metrics" argv) in
-  let records = Bench_json.run_default ~repeat ~jobs ~warm ~metrics_armed () in
-  let doc = Bench_json.to_json ?tag records in
-  Bench_json.write_file out doc;
-  (if check then
-     (* Deterministic output for the cram suite: re-parse what was written
-        and report only the record count. *)
-     match Bench_json.parse_check doc with
-     | Ok n -> Printf.printf "bench json: %d records ok\n" n
-     | Error e ->
-         Printf.eprintf "bench json: %s\n" e;
-         exit 1
-   else begin
-     print_string doc;
-     Printf.eprintf "wrote %s\n" out
-   end);
-  match baseline with
-  | None -> ()
-  | Some path -> (
-      match Bench_json.diff_baseline ~baseline:(read_file path) records with
-      | Error e ->
-          Printf.eprintf "bench json: %s\n" e;
-          exit 1
-      | Ok deltas -> (
-          if not check then print_string (Bench_json.render_deltas deltas);
-          match Bench_json.regressions ~max_regress deltas with
-          | [] ->
-              Printf.printf "bench gate: ok (max regress %.0f%%)\n" max_regress
-          | bad ->
-              Printf.printf "bench gate: %d metric(s) regressed >%.0f%%:\n"
-                (List.length bad) max_regress;
-              print_string (Bench_json.render_deltas bad);
-              exit 1))
-
 let () =
-  if Array.exists (fun a -> a = "--json") Sys.argv then json_mode ()
-  else begin
-    run_exhibits ();
-    level_sensitivity ();
-    size_scaling ();
-    microbenches ();
-    print_newline ()
-  end
+  run_exhibits ();
+  level_sensitivity ();
+  size_scaling ();
+  microbenches ();
+  print_newline ()

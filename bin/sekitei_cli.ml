@@ -204,7 +204,9 @@ let config_of ?(explain = false) ?(profile_h = false) ?(defer_h = true)
 
 (* [pb] is forced only to render an emitted plan: the planner validates
    the spec before compiling it, and an invalid spec must reach that
-   check rather than fail in a compile of its own. *)
+   check rather than fail in a compile of its own.  Exit codes: 0 with a
+   plan, 2 for an invalid spec (as for one the DSL rejects), 1 for any
+   other failure. *)
 let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
   (match report.Planner.result with
   | Ok p ->
@@ -246,7 +248,10 @@ let report_outcome ?dot_file ?(audit = false) pb (report : Planner.report) =
   | None -> ());
   Format.printf "Stats: %a@." Planner.pp_stats report.Planner.stats;
   Format.printf "Phases: %a@." Planner.pp_phases report;
-  match report.Planner.result with Ok _ -> 0 | Error _ -> 1
+  match report.Planner.result with
+  | Ok _ -> 0
+  | Error (Planner.Invalid_spec _) -> 2
+  | Error _ -> 1
 
 let plan_cmd =
   let run spec network levels seed rg slrg deadline dot_file audit suggest

@@ -742,7 +742,8 @@ let ground_with ~adjust ~telemetry ~deadline ~prune ~(reuse : reuse) topo
   }
 
 (* A formula that divides by zero at a level endpoint has no value
-   there: the specification is at fault, not the planner. *)
+   there, and one with no finite lower bound has no interval: the
+   specification is at fault, not the planner. *)
 let compile_with ~adjust ~telemetry ~deadline ~prune ~reuse topo app leveling =
   match
     ground_with ~adjust ~telemetry ~deadline ~prune ~reuse topo app leveling
@@ -750,6 +751,8 @@ let compile_with ~adjust ~telemetry ~deadline ~prune ~reuse topo app leveling =
   | pb -> pb
   | exception Division_by_zero ->
       fail "a formula divides by zero at a resource level endpoint"
+  | exception Expr.Unbounded_below ->
+      fail "a formula has no finite lower bound over a resource level"
 
 let no_adjust ~comp:_ ~node:_ = 0.
 

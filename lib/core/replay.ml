@@ -428,16 +428,20 @@ let collect_metrics (pb : Problem.t) st realized_cost =
   }
 
 (* Execute one action against [st] (mutating it), returning the action's
-   realized cost contribution.  Raises [Fail] (or [Division_by_zero] out of
-   a specification formula) on infeasibility. *)
+   realized cost contribution.  Raises [Fail] on infeasibility, including
+   a specification formula that has no value over the action's ranges. *)
 let exec_action pb st ~mode (act : Action.t) =
-  let c =
+  match
     match act.Action.kind with
     | Action.Place { comp; node } -> exec_place pb st ~mode act comp node
     | Action.Cross { iface; link; src; dst } ->
         exec_cross pb st ~mode act iface link src dst
-  in
-  Float.max 0. (c +. act.Action.cost_extra)
+  with
+  | c -> Float.max 0. (c +. act.Action.cost_extra)
+  | exception Division_by_zero ->
+      raise (Fail "division by zero in a specification formula")
+  | exception Expr.Unbounded_below ->
+      raise (Fail "a specification formula has no finite lower bound")
 
 let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
   let sp = Telemetry.begin_span telemetry "replay" in
@@ -454,15 +458,7 @@ let run ?(telemetry = Telemetry.null) ?source_scale pb ~mode tail =
         | exception Fail reason ->
             result :=
               Error
-                { failed_index = idx; failed_action = act.Action.label; reason }
-        | exception Division_by_zero ->
-            result :=
-              Error
-                {
-                  failed_index = idx;
-                  failed_action = act.Action.label;
-                  reason = "division by zero in a specification formula";
-                })
+                { failed_index = idx; failed_action = act.Action.label; reason })
   in
   go 0 tail;
   let out =
@@ -502,13 +498,6 @@ let extend pb ~mode rs (act : Action.t) =
   | c -> Ok { rst = st; rcost = rs.rcost +. c; rlen = rs.rlen + 1 }
   | exception Fail reason ->
       Error { failed_index = rs.rlen; failed_action = act.Action.label; reason }
-  | exception Division_by_zero ->
-      Error
-        {
-          failed_index = rs.rlen;
-          failed_action = act.Action.label;
-          reason = "division by zero in a specification formula";
-        }
 
 let rstate_cost rs = rs.rcost
 let rstate_length rs = rs.rlen

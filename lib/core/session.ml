@@ -272,35 +272,43 @@ let metrics t = t.metrics
 let metrics_snapshot t = Registry.snapshot t.metrics
 
 let gc_snap () = (Gc.minor_words (), (Gc.quick_stat ()).Gc.major_collections)
-let gc_delta (aw, ac) (bw, bc) = (bw -. aw, bc - ac)
 
 let mk_phase ms items (minor_words, major_collections) =
   { ms; items; minor_words; major_collections }
+
+(* One phase bracket: [f ()] inside the telemetry span [name], returning
+   its result, the span's ms and the (minor words, major collections) it
+   cost.  [attrs] labels the closed span from the result; an exception
+   closes the span and propagates. *)
+let bracket ?(attrs = fun _ -> []) telemetry name f =
+  let sp = Telemetry.begin_span telemetry name in
+  let w0, c0 = gc_snap () in
+  match f () with
+  | exception e ->
+      ignore (Telemetry.end_span telemetry sp);
+      raise e
+  | r ->
+      let w1, c1 = gc_snap () in
+      let ms = Telemetry.end_span telemetry sp ~attrs:(attrs r) in
+      (r, ms, (w1 -. w0, c1 - c0))
 
 (* Compile + PLRG for the current topology, with the standard telemetry
    spans and GC brackets.  Raises [Compile.Compile_error] and
    [Deadline.Expired] to the caller. *)
 let build_state t ~deadline =
   let telemetry = t.telemetry in
-  let sp_compile = Telemetry.begin_span telemetry "compile" in
-  let gc_compile0 = gc_snap () in
-  let pb =
-    try Compile.compile ?adjust:t.adjust ~telemetry ~deadline t.topo t.app
-        t.leveling
-    with e ->
-      ignore (Telemetry.end_span telemetry sp_compile);
-      raise e
-  in
-  let compile_gc = gc_delta gc_compile0 (gc_snap ()) in
-  let total_actions = Array.length pb.Problem.actions in
-  let compile_ms =
-    Telemetry.end_span telemetry sp_compile
-      ~attrs:
+  let pb, compile_ms, compile_gc =
+    bracket telemetry "compile"
+      ~attrs:(fun (pb : Problem.t) ->
         [
-          ("actions", Telemetry.Int total_actions);
+          ("actions", Telemetry.Int (Array.length pb.Problem.actions));
           ("props", Telemetry.Int (Prop.count pb.Problem.props));
-        ]
+        ])
+      (fun () ->
+        Compile.compile ?adjust:t.adjust ~telemetry ~deadline t.topo t.app
+          t.leveling)
   in
+  let total_actions = Array.length pb.Problem.actions in
   Log.info (fun m ->
       m "compiled: %d leveled actions, %d propositions (%d pruned dead)"
         total_actions
@@ -310,25 +318,18 @@ let build_state t ~deadline =
   (* The search clock starts before the PLRG build — search_ms has always
      covered plrg + slrg + rg (Table 2 col 9, right). *)
   let t_search = Timer.start () in
-  let sp_plrg = Telemetry.begin_span telemetry "plrg" in
-  let gc_plrg0 = gc_snap () in
-  let plrg =
-    try Plrg.build ~telemetry ~deadline pb
-    with e ->
-      ignore (Telemetry.end_span telemetry sp_plrg);
-      raise e
-  in
-  let plrg_gc = gc_delta gc_plrg0 (gc_snap ()) in
-  let plrg_props, plrg_actions = Plrg.stats plrg in
-  let plrg_ms =
-    Telemetry.end_span telemetry sp_plrg
-      ~attrs:
+  let plrg, plrg_ms, plrg_gc =
+    bracket telemetry "plrg"
+      ~attrs:(fun plrg ->
+        let plrg_props, plrg_actions = Plrg.stats plrg in
         [
           ("relevant_props", Telemetry.Int plrg_props);
           ("relevant_actions", Telemetry.Int plrg_actions);
           ("reachable", Telemetry.Bool (Plrg.goals_reachable plrg));
-        ]
+        ])
+      (fun () -> Plrg.build ~telemetry ~deadline pb)
   in
+  let plrg_props, plrg_actions = Plrg.stats plrg in
   Log.info (fun m ->
       m "PLRG: %d relevant propositions, %d relevant actions, goals %s"
         plrg_props plrg_actions
@@ -496,41 +497,37 @@ let plan_exn t =
               (base_stats (Timer.elapsed_ms t_search))
           end
           else begin
-            let sp_slrg = Telemetry.begin_span telemetry "slrg" in
-            let gc_slrg0 = gc_snap () in
-            let slrg =
-              match st.oracle with
-              | Some o -> o
-              | None ->
-                  let o =
-                    Slrg.create ~telemetry ~metrics:t.metrics
-                      ~query_budget:config.slrg_query_budget pb plrg
+            let slrg, slrg_create_ms, slrg_create_gc =
+              bracket telemetry "slrg" (fun () ->
+                  let slrg =
+                    match st.oracle with
+                    | Some o -> o
+                    | None ->
+                        let o =
+                          Slrg.create ~telemetry ~metrics:t.metrics
+                            ~query_budget:config.slrg_query_budget pb plrg
+                        in
+                        st.oracle <- Some o;
+                        o
                   in
-                  st.oracle <- Some o;
-                  o
+                  (* Per-request reset: drop every budget-exhausted bound
+                     and refill the escalation pool (warm == cold hinges
+                     on it), and arm the deadline the queries poll. *)
+                  Slrg.begin_request slrg ~deadline;
+                  slrg)
             in
-            (* Per-request reset: drop every budget-exhausted bound and
-               refill the escalation pool (warm == cold hinges on it),
-               and arm the deadline the queries poll. *)
-            Slrg.begin_request slrg ~deadline;
-            let slrg_create_gc = gc_delta gc_slrg0 (gc_snap ()) in
-            let slrg_create_ms = Telemetry.end_span telemetry sp_slrg in
-            let sp_rg = Telemetry.begin_span telemetry "rg" in
-            let gc_rg0 = gc_snap () in
             let profile = if config.profile_h then Some (ref []) else None in
-            let result, rg_stats =
-              Rg.search ~max_expansions:config.rg_max_expansions
-                ~defer:config.defer_h ?profile ~telemetry ~metrics:t.metrics
-                ~deadline pb plrg slrg
-            in
-            let rg_gc = gc_delta gc_rg0 (gc_snap ()) in
-            let rg_ms =
-              Telemetry.end_span telemetry sp_rg
-                ~attrs:
+            let (result, rg_stats), rg_ms, rg_gc =
+              bracket telemetry "rg"
+                ~attrs:(fun (_, rg_stats) ->
                   [
                     ("created", Telemetry.Int rg_stats.Rg.created);
                     ("expanded", Telemetry.Int rg_stats.Rg.expanded);
-                  ]
+                  ])
+                (fun () ->
+                  Rg.search ~max_expansions:config.rg_max_expansions
+                    ~defer:config.defer_h ?profile ~telemetry
+                    ~metrics:t.metrics ~deadline pb plrg slrg)
             in
             Log.info (fun m ->
                 m
@@ -708,26 +705,15 @@ let update t delta =
       let link_touched l = List.mem l touched_links in
       let telemetry = t.telemetry in
       match
-        let sp_compile = Telemetry.begin_span telemetry "compile" in
-        let gc_compile0 = gc_snap () in
-        match
-          Compile.recompile ?adjust:t.adjust ~telemetry ~old:st.pb
-            ~node_touched ~link_touched new_topo t.app t.leveling
-        with
-        | exception e ->
-            ignore (Telemetry.end_span telemetry sp_compile);
-            raise e
-        | pb, invalidated ->
-            let compile_gc = gc_delta gc_compile0 (gc_snap ()) in
-            let compile_ms =
-              Telemetry.end_span telemetry sp_compile
-                ~attrs:
-                  [
-                    ("actions", Telemetry.Int (Array.length pb.Problem.actions));
-                    ("invalidated", Telemetry.Int invalidated);
-                  ]
-            in
-            (pb, invalidated, compile_ms, compile_gc)
+        bracket telemetry "compile"
+          ~attrs:(fun ((pb : Problem.t), invalidated) ->
+            [
+              ("actions", Telemetry.Int (Array.length pb.Problem.actions));
+              ("invalidated", Telemetry.Int invalidated);
+            ])
+          (fun () ->
+            Compile.recompile ?adjust:t.adjust ~telemetry ~old:st.pb
+              ~node_touched ~link_touched new_topo t.app t.leveling)
       with
       | exception Compile.Compile_error _ ->
           (* The mutated spec no longer compiles (e.g. a pre-placed
@@ -735,18 +721,16 @@ let update t delta =
              next plan recompiles cold and reports the error exactly as a
              one-shot run would. *)
           t.state <- None
-      | pb, invalidated, compile_ms, compile_gc ->
+      | (pb, invalidated), compile_ms, compile_gc ->
           if st.pb.Problem.init <> pb.Problem.init then
             (* A changed initial section changes set canonicalization
                itself: every interned handle is suspect.  Full flush. *)
             t.state <- None
           else begin
-            let sp_plrg = Telemetry.begin_span telemetry "plrg" in
-            let gc_plrg0 = gc_snap () in
-            let plrg = Plrg.build ~telemetry pb in
-            let plrg_gc = gc_delta gc_plrg0 (gc_snap ()) in
+            let plrg, plrg_ms, plrg_gc =
+              bracket telemetry "plrg" (fun () -> Plrg.build ~telemetry pb)
+            in
             let plrg_props, _ = Plrg.stats plrg in
-            let plrg_ms = Telemetry.end_span telemetry sp_plrg in
             (* Taint on both sides of the delta: the old problem catches
                chains through removed actions, the new one chains through
                novel actions at the touched sites.  Stable ids mean the

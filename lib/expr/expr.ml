@@ -63,11 +63,17 @@ let rec holds ~env c =
 (* Interval evaluation                                                 *)
 (* ------------------------------------------------------------------ *)
 
+exception Unbounded_below
+
+(* An interval needs a finite lower bound: a corner at -inf (negating,
+   or multiplying or dividing by a negative, an unbounded range) has no
+   enclosure. *)
+let of_corners corners =
+  if List.mem Float.neg_infinity corners then raise Unbounded_below
+  else I.of_points corners
+
 let neg_interval i =
-  if not (Float.is_finite (I.hi i)) then
-    invalid_arg "Expr: negation of an unbounded interval"
-  else if I.is_point i then I.point (-.I.lo i)
-  else I.of_points [ -.I.hi i; -.I.lo i ]
+  if I.is_point i then I.point (-.I.lo i) else of_corners [ -.I.hi i; -.I.lo i ]
 
 (* Corner product with the interval-arithmetic convention 0 * inf = 0. *)
 let corner_mul x y =
@@ -83,7 +89,7 @@ let mul_interval a b =
       corner_mul (I.hi a) (I.hi b);
     ]
   in
-  I.of_points corners
+  of_corners corners
 
 let div_interval a b =
   if ( && ) (( <= ) (I.lo b) 0.) (( >= ) (I.hi b) 0.)
@@ -105,7 +111,7 @@ let div_interval a b =
       then Float.infinity :: corners
       else corners
     in
-    I.of_points corners
+    of_corners corners
 
 let rec eval_interval ~env e =
   match e with

@@ -50,6 +50,11 @@ val ( || ) : cond -> cond -> cond
 
 exception Unbound_variable of var
 
+(** Raised by {!eval_interval} when the range has no finite lower bound
+    (negating, or multiplying or dividing by a negative, an unbounded
+    range): an interval's lower bound must be finite. *)
+exception Unbounded_below
+
 (** Exact evaluation at a point; the environment maps variables to values.
     @raise Unbound_variable when a variable is missing.
     @raise Division_by_zero on division by exactly 0. *)
@@ -63,7 +68,8 @@ val holds : env:(var -> float) -> cond -> bool
     occurs once (our specification formulae); an over-approximation in
     general — which is the safe direction for {e optimistic} resource maps.
     @raise Unbound_variable when a variable is missing.
-    @raise Division_by_zero when a divisor interval contains 0. *)
+    @raise Division_by_zero when a divisor interval contains 0.
+    @raise Unbounded_below when the range has no finite lower bound. *)
 val eval_interval : env:(var -> Sekitei_util.Interval.t) -> t -> Sekitei_util.Interval.t
 
 (** Satisfiability over interval bounds: [true] when some assignment

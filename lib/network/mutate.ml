@@ -3,6 +3,8 @@ open Topology
 let check_value fn res v =
   if not (Float.is_finite v) then
     invalid_arg (Printf.sprintf "Mutate.%s: %s value %g is not finite" fn res v)
+  else if v < 0. then
+    invalid_arg (Printf.sprintf "Mutate.%s: %s value %g is negative" fn res v)
 
 let set_link_resource t link res v =
   if link < 0 || link >= link_id_bound t then

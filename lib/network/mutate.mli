@@ -19,11 +19,12 @@ open Topology
 (** [set_link_resource t link res v] returns a copy with the link's
     resource set (added if absent).
     @raise Stale_link on a removed link, [Invalid_argument] on a
-    never-issued id or a non-finite [v]. *)
+    never-issued id or a non-finite or negative [v]. *)
 val set_link_resource : t -> link_id -> string -> float -> t
 
 (** [set_node_resource t node res v] likewise for a node.
-    @raise Invalid_argument on unknown node ids or a non-finite [v]. *)
+    @raise Invalid_argument on unknown node ids or a non-finite or
+    negative [v]. *)
 val set_node_resource : t -> node_id -> string -> float -> t
 
 (** [scale_links ?kind t res factor] multiplies [res] on every live link

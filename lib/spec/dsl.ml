@@ -310,10 +310,13 @@ let parse_component name stmts =
 (* Network block                                                          *)
 (* --------------------------------------------------------------------- *)
 
+(* A capacity is an amount on hand: a negative one is a typo, not a
+   deficit. *)
 let rec parse_resource_pairs ~stmt acc = function
   | [] -> List.rev acc
   | name :: value :: rest ->
       let v = number "resource value" value ~stmt in
+      if v < 0. then fail "negative %s capacity %S in %S" name value stmt;
       parse_resource_pairs ~stmt ((name, v) :: acc) rest
   | [ odd ] -> fail "dangling resource token %S" odd
 

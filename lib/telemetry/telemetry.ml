@@ -165,8 +165,12 @@ type t = {
   progress_interval : int;
   mutable next_id : int;
   mutable open_stack : int list;  (** ids of currently open spans *)
-  counters : (string, int ref) Hashtbl.t;
+  counters : (string, counter) Hashtbl.t;
 }
+
+(* [flushed] is the total the last flush emitted ([None] before the
+   first), so a flush re-emits only the totals that moved. *)
+and counter = { mutable total : int; mutable flushed : int option }
 
 type span = { span_id : int; span_name : string; started : Timer.t }
 
@@ -234,29 +238,28 @@ let with_span ?attrs t name f =
     ~finally:(fun () -> ignore (end_span ?attrs t sp))
     f
 
-let with_span_timed ?attrs t name f =
-  let sp = begin_span t name in
-  match f () with
-  | v -> (v, end_span ?attrs t sp)
-  | exception e ->
-      ignore (end_span ?attrs t sp);
-      raise e
-
 (* ---------------- counters / gauges / progress ---------------- *)
 
 let count t name n =
   if t.active then
     match Hashtbl.find_opt t.counters name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.add t.counters name (ref n)
+    | Some c -> c.total <- c.total + n
+    | None -> Hashtbl.add t.counters name { total = n; flushed = None }
 
 let counter_total t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.counters name with Some c -> c.total | None -> 0
 
 let flush_counters t =
   if t.active then begin
     let t_ms = elapsed_ms t in
-    Hashtbl.fold (fun name total acc -> (name, !total) :: acc) t.counters []
+    Hashtbl.fold
+      (fun name c acc ->
+        if c.flushed = Some c.total then acc
+        else begin
+          c.flushed <- Some c.total;
+          (name, c.total) :: acc
+        end)
+      t.counters []
     |> List.sort compare
     |> List.iter (fun (name, total) -> emit t (Counter { name; total; t_ms }))
   end

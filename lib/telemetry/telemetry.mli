@@ -126,10 +126,6 @@ val end_span : ?attrs:(string * value) list -> t -> span -> float
     when [f] raises. *)
 val with_span : ?attrs:(string * value) list -> t -> string -> (unit -> 'a) -> 'a
 
-(** Like {!with_span} but also returns the duration in ms. *)
-val with_span_timed :
-  ?attrs:(string * value) list -> t -> string -> (unit -> 'a) -> 'a * float
-
 (** {1 Counters, gauges, progress} *)
 
 (** [count t name n] adds [n] to the named counter (aggregated; emitted
@@ -139,7 +135,8 @@ val count : t -> string -> int -> unit
 (** Current aggregate (0 for unknown names or under {!null}). *)
 val counter_total : t -> string -> int
 
-(** Emit every counter's total as a [Counter] event (sorted by name). *)
+(** Emit, as [Counter] events sorted by name, the total of every counter
+    not yet flushed or changed since the previous flush. *)
 val flush_counters : t -> unit
 
 val gauge : t -> string -> float -> unit

@@ -114,8 +114,8 @@ let test_errors () =
   expect_error "deploy { place X at n0; }";
   expect_error "stray statement;"
 
-(* Malformed numbers, NaN or infinite values, unordered cutpoints and
-   self-loops in an otherwise valid spec: each must be a [Dsl_error]
+(* Malformed numbers, NaN, infinite or negative values, unordered
+   cutpoints and self-loops in an otherwise valid spec: each must be a [Dsl_error]
    naming the statement, never an exception from the layers below. *)
 let test_malformed_values () =
   let split = Sekitei_spec.Str_split.split_once in
@@ -144,7 +144,9 @@ let test_malformed_values () =
   expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- a lan lbw 100;";
   expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- b lan lbw nan;";
   expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- b lan lbw inf;";
+  expect ~replace:"link a -- b lan lbw 100;" ~by:"link a -- b lan lbw -100;";
   expect ~replace:"node a cpu 30;" ~by:"node a cpu nan;";
+  expect ~replace:"node a cpu 30;" ~by:"node a cpu -5;";
   expect ~replace:"property ibw degradable;" ~by:"property ibw = abc;";
   expect ~replace:"property ibw degradable;" ~by:"property ibw = nan;";
   expect ~replace:"goal Snk on b;" ~by:"goal S.ibw >= abc on b;";

@@ -85,6 +85,20 @@ let test_interval_unbounded () =
   Alcotest.(check (float 1e-9)) "lo" 20. (I.lo r);
   Alcotest.(check bool) "hi infinite" false (Float.is_finite (I.hi r))
 
+(* Negating an unbounded range, or scaling it by a negative, has no
+   finite lower bound, so no interval encloses it. *)
+let test_interval_unbounded_below () =
+  let env = ienv_of [ ("x", I.make 100. Float.infinity) ] in
+  List.iter
+    (fun text ->
+      Alcotest.check_raises text E.Unbounded_below (fun () ->
+          ignore (E.eval_interval ~env (E.parse text))))
+    [ "-x"; "x / -1"; "x * -2" ];
+  let r =
+    E.eval_interval ~env:(ienv_of [ ("x", I.make 10. 20.) ]) (E.parse "-x")
+  in
+  Alcotest.(check (float 1e-9)) "bounded negation lo" (-20.) (I.lo r)
+
 let test_interval_div_by_zero_interval () =
   let env = ienv_of [ ("x", I.make 0. 1.) ] in
   Alcotest.check_raises "divisor spans zero" Division_by_zero (fun () ->
@@ -286,6 +300,7 @@ let suite =
     ("interval linear", `Quick, test_interval_linear);
     ("interval min capacity", `Quick, test_interval_min_capacity);
     ("interval unbounded", `Quick, test_interval_unbounded);
+    ("interval unbounded below", `Quick, test_interval_unbounded_below);
     ("interval div by zero", `Quick, test_interval_div_by_zero_interval);
     ("interval encloses samples", `Quick, test_interval_encloses_samples);
     ("sat half-open", `Quick, test_sat_half_open);

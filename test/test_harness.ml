@@ -155,81 +155,6 @@ let test_csv_export () =
     (fun l -> Alcotest.(check int) "arity" (arity (List.hd lines)) (arity l))
     lines
 
-(* ---------------- bench baseline gate ---------------- *)
-
-module Bench_json = Sekitei_harness.Bench_json
-
-let bench_record ?(scenario = "Tiny-C") ?(search_ms = 10.) ?(rg_created = 100)
-    ?(slrg_ms = 5.) () =
-  {
-    Bench_json.scenario;
-    actions = 48;
-    rg_created;
-    rg_expanded = 15;
-    rg_duplicates = 2;
-    slrg_cache_hits = 14;
-    slrg_suffix_harvested = 15;
-    slrg_bound_promoted = 8;
-    slrg_deferred = 90;
-    slrg_saved = 70;
-    search_ms;
-    search_ms_p50 = search_ms;
-    search_ms_p90 = search_ms;
-    search_ms_p99 = search_ms;
-    warm_search_ms = 4.;
-    compile_ms = 0.1;
-    plrg_ms = 0.02;
-    slrg_ms;
-    rg_ms = 9.;
-    minor_words = 120_000.;
-    major_collections = 1;
-    jobs = 1;
-    wall_ms_batch = 11.;
-  }
-
-let test_baseline_diff () =
-  let base = bench_record () in
-  let baseline = Bench_json.to_json [ base ] in
-  (* Unchanged run: every delta is 0, nothing regresses. *)
-  (match Bench_json.diff_baseline ~baseline [ base ] with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok deltas ->
-      Alcotest.(check int) "one delta per gated metric"
-        (List.length Bench_json.gated_metrics)
-        (List.length deltas);
-      List.iter
-        (fun d -> Alcotest.(check (float 1e-9)) "no change" 0. d.Bench_json.d_pct)
-        deltas;
-      Alcotest.(check int) "no regressions" 0
-        (List.length (Bench_json.regressions ~max_regress:50. deltas)));
-  (* Inflated current run: search_ms doubled trips the gate, the exact
-     rg_created and the improved slrg_ms do not. *)
-  let slow = bench_record ~search_ms:20. ~slrg_ms:2. () in
-  match Bench_json.diff_baseline ~baseline [ slow ] with
-  | Error e -> Alcotest.failf "diff failed: %s" e
-  | Ok deltas -> (
-      match Bench_json.regressions ~max_regress:50. deltas with
-      | [ d ] ->
-          Alcotest.(check string) "search_ms trips" "search_ms"
-            d.Bench_json.d_metric;
-          Alcotest.(check (float 1e-6)) "+100%" 100. d.Bench_json.d_pct
-      | ds -> Alcotest.failf "expected 1 regression, got %d" (List.length ds))
-
-let test_baseline_diff_errors () =
-  let r = bench_record () in
-  (match Bench_json.diff_baseline ~baseline:"not json" [ r ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed baseline accepted");
-  (match Bench_json.diff_baseline ~baseline:"{}" [ r ] with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "non-array baseline accepted");
-  let other = Bench_json.to_json [ bench_record ~scenario:"Small-C" () ] in
-  match Bench_json.diff_baseline ~baseline:other [ r ] with
-  | Error e ->
-      Alcotest.(check bool) "names the missing scenario" true
-        (contains e "Tiny-C")
-  | Ok _ -> Alcotest.fail "missing scenario accepted"
-
 let suite =
   [
     ("tiny shape", `Quick, test_tiny_shape);
@@ -247,6 +172,4 @@ let suite =
     ("fig10 text", `Quick, test_fig10_text);
     ("ablation text", `Quick, test_ablation_text);
     ("csv export", `Quick, test_csv_export);
-    ("baseline diff", `Quick, test_baseline_diff);
-    ("baseline diff errors", `Quick, test_baseline_diff_errors);
   ]

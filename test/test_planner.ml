@@ -332,6 +332,67 @@ let test_plan_batch_matches_sequential () =
 let test_plan_batch_empty () =
   Alcotest.(check int) "empty batch" 0 (List.length (Planner.plan_batch []))
 
+(* ---------------- Table 2 search counters ---------------- *)
+
+(* The search is deterministic, so the paper's Table 2 effort counters
+   are pinned exactly: a change that grows or shrinks the search must
+   update this table on purpose.  The rows are the three C rows plus
+   Small-E and Large-B, the costliest rows of perfbench's cold-search
+   workload; timing regressions are perfbench's to catch. *)
+let pinned_counters (s : Planner.stats) =
+  [
+    ("total_actions", s.Planner.total_actions);
+    ("plrg_props", s.Planner.plrg_props);
+    ("plrg_actions", s.Planner.plrg_actions);
+    ("slrg_nodes", s.Planner.slrg_nodes);
+    ("rg_created", s.Planner.rg_created);
+    ("rg_open_left", s.Planner.rg_open_left);
+    ("rg_expanded", s.Planner.rg_expanded);
+    ("replay_pruned", s.Planner.replay_pruned);
+    ("rg_duplicates", s.Planner.rg_duplicates);
+    ("final_replay_rejected", s.Planner.final_replay_rejected);
+    ("slrg_deferred", s.Planner.slrg_deferred);
+    ("slrg_saved", s.Planner.slrg_saved);
+  ]
+
+let table2_pins =
+  (* row, network, level,
+     [ actions; plrg props; plrg actions; slrg; rg created; rg open;
+       expanded; pruned; dups; rejected; deferred; saved ], cost_lb.
+     The bounds are bit patterns: 52.45 and 76 as summed over the plan's
+     steps, each one ulp below the nearest double. *)
+  [
+    ( "Tiny-C", Scenarios.tiny, Media.C,
+      [ 48; 17; 30; 96; 25; 10; 15; 63; 2; 0; 24; 8 ], 0x1.a399999999999p+5 );
+    ( "Small-C", Scenarios.small, Media.C,
+      [ 200; 49; 126; 2906; 583; 467; 116; 645; 62; 0; 582; 336 ],
+      0x1.2ffffffffffffp+6 );
+    ( "Large-C", (fun () -> Scenarios.large ()), Media.C,
+      [ 4734; 745; 3018; 18995; 1062; 994; 68; 399; 23; 0; 1061; 685 ],
+      0x1.2ffffffffffffp+6 );
+    ( "Small-E", Scenarios.small, Media.E,
+      [ 594; 49; 184; 3193; 42430; 35703; 6727; 35894; 1170; 1247; 41182;
+        34331 ], 0x1.2ffffffffffffp+6 );
+    ( "Large-B", (fun () -> Scenarios.large ()), Media.B,
+      [ 3226; 745; 3042; 5389; 41810; 37356; 4454; 22851; 2829; 671; 40667;
+        34805 ], 11. );
+  ]
+
+let test_table2_counters_pinned () =
+  List.iter
+    (fun (row, network, level, expected, cost_lb) ->
+      let o, _ = solve (network ()) level in
+      let p = expect_plan row o in
+      List.iter2
+        (fun (counter, actual) want ->
+          Alcotest.(check int) (row ^ ": " ^ counter) want actual)
+        (pinned_counters o.Planner.stats)
+        expected;
+      if not (Float.equal p.Plan.cost_lb cost_lb) then
+        Alcotest.failf "%s: cost_lb expected %h (%.17g), got %h (%.17g)" row
+          cost_lb cost_lb p.Plan.cost_lb p.Plan.cost_lb)
+    table2_pins
+
 (* ---------------- postprocess ---------------- *)
 
 let test_postprocess_minimizes () =
@@ -378,6 +439,7 @@ let suite =
     ("stats populated", `Quick, test_stats_populated);
     ("plan_batch matches sequential", `Quick, test_plan_batch_matches_sequential);
     ("plan_batch empty", `Quick, test_plan_batch_empty);
+    ("Table 2 search counters are pinned", `Quick, test_table2_counters_pinned);
     ("postprocess minimizes", `Quick, test_postprocess_minimizes);
     ("postprocess rejects invalid", `Quick, test_postprocess_rejects_invalid);
   ]

@@ -4,8 +4,7 @@
      over random action tails (accept/reject outcome AND metrics);
    - extend is persistent (branching from one parent never cross-talks);
    - RG duplicate detection never changes the returned plan cost on the
-     Tiny/Small scenarios;
-   - the machine-readable bench pipeline emits schema-valid JSON. *)
+     Tiny/Small scenarios. *)
 
 module Q = QCheck
 module Compile = Sekitei_core.Compile
@@ -17,7 +16,6 @@ module Slrg = Sekitei_core.Slrg
 module Rg = Sekitei_core.Rg
 module Media = Sekitei_domains.Media
 module Scenarios = Sekitei_harness.Scenarios
-module Bench_json = Sekitei_harness.Bench_json
 module G = Sekitei_network.Generators
 module T = Sekitei_network.Topology
 
@@ -163,39 +161,6 @@ let test_dedup_counts_duplicates () =
     "dedup shrinks the search" true
     (s.Rg.created <= s'.Rg.created)
 
-(* ---------------- bench JSON schema ---------------- *)
-
-let test_bench_json_schema () =
-  let r = Bench_json.measure (Scenarios.tiny ()) Media.C in
-  Alcotest.(check bool) "actions positive" true (r.Bench_json.actions > 0);
-  Alcotest.(check bool) "created positive" true (r.Bench_json.rg_created > 0);
-  let doc = Bench_json.to_json [ r ] in
-  (match Bench_json.validate doc with
-  | Ok n -> Alcotest.(check int) "one record" 1 n
-  | Error e -> Alcotest.failf "schema: %s" e);
-  Alcotest.(check bool) "phase timings cover the search" true
-    (r.Bench_json.plrg_ms >= 0.
-    && r.Bench_json.slrg_ms >= 0.
-    && r.Bench_json.rg_ms >= 0.
-    && r.Bench_json.compile_ms >= 0.);
-  Alcotest.(check bool) "slrg cache counters present and sane" true
-    (r.Bench_json.slrg_cache_hits >= 0
-    && r.Bench_json.slrg_suffix_harvested >= 0
-    && r.Bench_json.slrg_bound_promoted >= 0);
-  let tagged = Bench_json.to_json ~tag:"test" [ r; r ] in
-  (match Bench_json.validate tagged with
-  | Ok n -> Alcotest.(check int) "two records" 2 n
-  | Error e -> Alcotest.failf "schema (tagged): %s" e);
-  (match Bench_json.parse_check tagged with
-  | Ok n -> Alcotest.(check int) "parses as two records" 2 n
-  | Error e -> Alcotest.failf "parse_check: %s" e);
-  (match Bench_json.parse_check "[{\"scenario\": \"x\"}]" with
-  | Ok _ -> Alcotest.fail "incomplete record accepted"
-  | Error _ -> ());
-  match Bench_json.validate "{\"not\": \"an array\"}" with
-  | Ok _ -> Alcotest.fail "garbage accepted"
-  | Error _ -> ()
-
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -209,5 +174,4 @@ let suite =
       ("dedup neutral on tiny-C", `Quick, test_dedup_tiny);
       ("dedup neutral on small-C", `Quick, test_dedup_small);
       ("dedup counts duplicates", `Quick, test_dedup_counts_duplicates);
-      ("bench json schema", `Quick, test_bench_json_schema);
     ]

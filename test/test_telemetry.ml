@@ -98,7 +98,8 @@ let test_counters_sum () =
         | _ -> None)
       events
   in
-  (* close flushes again; the last total per name is authoritative. *)
+  (* close flushes only totals that moved since; the last total per
+     name is authoritative. *)
   let last name =
     List.fold_left
       (fun acc (n, v) -> if n = name then Some v else acc)
@@ -219,6 +220,26 @@ let test_planner_span_tree () =
         [ "plrg"; "slrg"; "rg" ]
   | _ -> Alcotest.fail "missing plan/compile/leveling spans"
 
+(* A one-shot plan flushes its counters when it finishes and [close]
+   flushes again: each total must reach the trace exactly once. *)
+let test_counters_flushed_once () =
+  let sink, events = Telemetry.memory () in
+  let telemetry = Telemetry.create [ sink ] in
+  let sc = Scenarios.small () in
+  let leveling = Media.leveling Media.C sc.Scenarios.app in
+  ignore
+    (Planner.plan
+       (Planner.request ~telemetry sc.Scenarios.topo sc.Scenarios.app ~leveling));
+  Telemetry.close telemetry;
+  let names =
+    List.filter_map
+      (function Telemetry.Counter { name; _ } -> Some name | _ -> None)
+      (events ())
+  in
+  Alcotest.(check bool) "rg.created traced" true (List.mem "rg.created" names);
+  Alcotest.(check (list string)) "one Counter event per name"
+    (List.sort_uniq compare names) (List.sort compare names)
+
 (* Phase timings must be populated even with the null telemetry, and the
    report must agree with the stats record on sizes. *)
 let test_null_report_phases () =
@@ -279,5 +300,6 @@ let suite =
     Alcotest.test_case "json parser" `Quick test_json_parser;
     Alcotest.test_case "json unicode" `Quick test_json_unicode;
     Alcotest.test_case "planner span tree" `Quick test_planner_span_tree;
+    Alcotest.test_case "counters flushed once" `Quick test_counters_flushed_once;
     Alcotest.test_case "null report phases" `Quick test_null_report_phases;
   ]

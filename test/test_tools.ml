@@ -83,13 +83,20 @@ let test_mutate_rejects_bad_ids () =
     (Invalid_argument "Mutate.fail_node: unknown node 7") (fun () ->
       ignore (Mutate.fail_node t 7));
   (* Resource values are interval points, which must be finite; NaN
-     would also slip past every capacity comparison. *)
+     would also slip past every capacity comparison.  A capacity is an
+     amount on hand, never negative. *)
   Alcotest.check_raises "set_link_resource NaN"
     (Invalid_argument "Mutate.set_link_resource: lbw value nan is not finite")
     (fun () -> ignore (Mutate.set_link_resource t 0 "lbw" Float.nan));
   Alcotest.check_raises "set_node_resource infinity"
     (Invalid_argument "Mutate.set_node_resource: cpu value inf is not finite")
     (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" Float.infinity));
+  Alcotest.check_raises "set_link_resource negative"
+    (Invalid_argument "Mutate.set_link_resource: lbw value -100 is negative")
+    (fun () -> ignore (Mutate.set_link_resource t 0 "lbw" (-100.)));
+  Alcotest.check_raises "set_node_resource negative"
+    (Invalid_argument "Mutate.set_node_resource: cpu value -5 is negative")
+    (fun () -> ignore (Mutate.set_node_resource t 0 "cpu" (-5.)));
   (* a tombstoned link is Stale, not unknown *)
   let t' = Mutate.remove_link t 0 in
   Alcotest.check_raises "set on removed link" (T.Stale_link 0) (fun () ->
