@@ -97,7 +97,8 @@ metrics-smoke:
 	  --trace /tmp/sekitei_agree_trace.jsonl > /dev/null
 	dune exec -- sekitei metrics --network small --levels C \
 	  > /tmp/sekitei_agree_metrics.txt
-	@for pair in rg.created:rg_created slrg.cache_hits:slrg_cache_hits \
+	@for pair in rg.created:rg_created rg.replay_pruned:rg_replay_pruned \
+	  rg.duplicates:rg_duplicates slrg.cache_hits:slrg_cache_hits \
 	  slrg.queries:slrg_queries; do \
 	  t=$${pair%%:*}; m=$${pair##*:}; \
 	  tv=$$(grep "\"name\": \"$$t\"" /tmp/sekitei_agree_trace.jsonl | tail -1 \

@@ -81,14 +81,15 @@ type stats = Session.stats = {
   plrg_props : int;  (** Table 2 col 6 (left) *)
   plrg_actions : int;  (** Table 2 col 6 (right) *)
   slrg_nodes : int;  (** Table 2 col 7 *)
-  rg_created : int;  (** Table 2 col 8 (left) *)
+  rg_created : int;  (** Table 2 col 8 (left): RG nodes pushed *)
   rg_open_left : int;  (** Table 2 col 8 (right) *)
   rg_expanded : int;
-  replay_pruned : int;
+  replay_pruned : int;  (** RG nodes failing optimistic replay on pop *)
   final_replay_rejected : int;
   rg_duplicates : int;
-      (** RG nodes pruned by duplicate detection (pending set re-derived
-          at an equal-or-worse g) *)
+      (** RG nodes dropped on their first pop by duplicate detection:
+          permutations of a (pending set, tail action set) pair that an
+          earlier popped node claimed *)
   order_repaired : int;
       (** always [0]: the RG search no longer re-sequences candidate
           tails that fail from-init validation.  Kept only for readers

@@ -72,9 +72,9 @@ val run :
 
     A snapshot of the replay execution state after some action sequence.
     [extend] applies {e one} action against a copy-on-write snapshot of the
-    parent state, leaving the parent untouched — the RG search carries one
-    [rstate] per node so pushing a successor costs one action execution
-    instead of a full tail replay.
+    parent state, leaving the parent untouched — an RG node carries its
+    parent's [rstate] and pays one action execution when it is first
+    popped, instead of a full tail replay.
 
     Equivalence guarantee: folding [extend pb ~mode] over an action list
     [l] from [initial pb] yields the same accept/reject outcome — and on

@@ -72,9 +72,13 @@ type node = {
           deferred re-insertions so the expansion order is identical to
           eager evaluation *)
   acts : Iset.t;  (** action ids in [tail] (repetition guard) *)
-  rs : Replay.rstate;
-      (** optimistic replay state of the suffix, built incrementally in
-          regression order (one [Replay.extend] per search edge) *)
+  mutable rs : Replay.rstate;
+      (** optimistic replay state: the parent's until the node is first
+          popped, then the suffix's own (one [Replay.extend] per popped
+          node, never repeated across a deferred re-insertion) *)
+  mutable replayed : bool;
+      (** whether [rs] already includes the tail's head action (the
+          root's empty tail has none to replay) *)
   mutable refined : bool;
       (** whether [h] is the SLRG value (true) or the cheap PLRG bound a
           deferred push queued the node with (false) *)
@@ -127,11 +131,11 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
      lets the regression memo and candidate cache pay off twice. *)
   let ctx = Slrg.ctx slrg in
   let supports = Slrg.supports slrg in
-  (* (pending set, action set) pairs already on the open list.  A node
-     re-deriving a recorded pair is a permutation of the recorded one —
-     a duplicate, pruned.  The empty set is exempt: final from-init
-     validation is order-sensitive, so every permutation that reaches
-     the empty set is validated on its own. *)
+  (* (pending set, action set) pairs claimed by a popped node that
+     passed replay.  A node re-deriving a claimed pair is a permutation
+     of the claimant — a duplicate, pruned.  The empty set is exempt:
+     final from-init validation is order-sensitive, so every permutation
+     that reaches the empty set is validated on its own. *)
   let seen_keys = Ktbl.create 256 in
   let heap = Heap.create () in
   (* PLRG h_max of a pending set: the per-proposition heuristic the SLRG
@@ -155,51 +159,60 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
       end
     in
     if Float.is_finite h then begin
-      let keep =
-        (not dedup)
-        || Array.length node.set.Propset.set = 0
-        ||
-        let key = (node.set.Propset.id, node.acts) in
-        if Ktbl.mem seen_keys key then begin
-          incr duplicates;
-          false
-        end
-        else begin
-          Ktbl.replace seen_keys key ();
-          true
-        end
-      in
-      if keep then begin
-        incr created;
-        if not node.refined then incr deferred;
-        (match profile with
-        | None -> ()
-        | Some _ ->
-            node.chain <-
-              {
-                set_size = Array.length node.set.Propset.set;
-                g = node.g;
-                h_slrg = (if node.refined then h else Float.nan);
-                h_plrg = h_plrg node.set;
-              }
-              :: node.chain);
-        Heap.add heap ~prio:(node.g +. h) ~prio2:(-.node.g) ~seq:node.serial
-          node
-      end
+      incr created;
+      if not node.refined then incr deferred;
+      (match profile with
+      | None -> ()
+      | Some _ ->
+          node.chain <-
+            {
+              set_size = Array.length node.set.Propset.set;
+              g = node.g;
+              h_slrg = (if node.refined then h else Float.nan);
+              h_plrg = h_plrg node.set;
+            }
+            :: node.chain);
+      Heap.add heap ~prio:(node.g +. h) ~prio2:(-.node.g) ~seq:node.serial node
     end
   in
   let next_serial = ref 0 in
   let mk ~tail ~set ~g ~acts ~rs ~chain =
     let serial = !next_serial in
     incr next_serial;
-    { tail; set; g; serial; acts; rs; refined = false; chain }
+    { tail; set; g; serial; acts; rs; replayed = false; refined = false; chain }
   in
   push
     (mk ~tail:[]
        ~set:(Propset.intern ctx (Propset.canonical_array pb pb.goal_props))
-       ~g:0. ~acts:Iset.empty
-       ~rs:(Replay.initial pb)
-       ~chain:[]);
+       ~g:0. ~acts:Iset.empty ~rs:(Replay.initial pb) ~chain:[]);
+  (* First pop of a node: drop it if a permutation already claimed its
+     (set, acts) key, else replay its head action in the parent's state
+     and drop it on failure; only a node that passes claims the key, so
+     a failing permutation never shadows a passing one.  Permutations
+     tie on (f, -g) and pop in serial order, so the survivor is the
+     first-pushed passing one. *)
+  let admit node =
+    match node.tail with
+    | a :: _ when not node.replayed ->
+        let key = (node.set.Propset.id, node.acts) in
+        let exempt = (not dedup) || Array.length node.set.Propset.set = 0 in
+        if (not exempt) && Ktbl.mem seen_keys key then begin
+          incr duplicates;
+          false
+        end
+        else begin
+          match Replay.extend pb ~mode:Replay.Regression node.rs a with
+          | Error _ ->
+              incr replay_pruned;
+              false
+          | Ok rs ->
+              node.rs <- rs;
+              node.replayed <- true;
+              if not exempt then Ktbl.replace seen_keys key ();
+              true
+        end
+    | _ -> true
+  in
   let finish result =
     let stats =
       {
@@ -221,6 +234,7 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
   let rec loop () =
     match Heap.pop heap with
     | None -> finish Exhausted
+    | Some (node, _) when not (admit node) -> loop ()
     | Some (node, f) ->
         if not node.refined then begin
           (* Second heuristic stage, on pop: refine the cheap bound with
@@ -306,16 +320,13 @@ let search ?(max_expansions = 500_000) ?(dedup = true) ?(defer = true)
           (fun aid ->
             if not (Iset.mem aid node.acts) then begin
               let a = pb.actions.(aid) in
-              match Replay.extend pb ~mode:Replay.Regression node.rs a with
-              | Error _ -> incr replay_pruned
-              | Ok rs' ->
-                  push
-                    (mk
-                       ~tail:(a :: node.tail)
-                       ~set:(Propset.regress_h ctx node.set a)
-                       ~g:(node.g +. a.Action.cost_lb)
-                       ~acts:(Iset.add aid node.acts)
-                       ~rs:rs' ~chain:node.chain)
+              push
+                (mk
+                   ~tail:(a :: node.tail)
+                   ~set:(Propset.regress_h ctx node.set a)
+                   ~g:(node.g +. a.Action.cost_lb)
+                   ~acts:(Iset.add aid node.acts)
+                   ~rs:node.rs ~chain:node.chain)
             end)
           (Supports.candidates_h supports node.set);
         loop ()

@@ -3,23 +3,29 @@
     A* over totally-ordered plan tails, regressing from the goal
     propositions.  Each node carries the tail built so far and the set of
     propositions still to achieve; expanding a node prepends an action that
-    supports at least one pending proposition.  Every new tail is replayed
-    forward in its optimistic resource map and pruned on failure (early
-    detection of resource and QoS violations).  A node whose pending set is
-    empty is a candidate solution; it is accepted only when the tail also
-    replays successfully from the true initial state.
+    supports at least one pending proposition.  Every tail that reaches
+    the top of the open list is replayed forward in its optimistic
+    resource map and pruned on failure (early detection of resource and
+    QoS violations).  A node whose pending set is empty is a candidate
+    solution; it is accepted only when the tail also replays successfully
+    from the true initial state.
 
     The remaining-cost heuristic is the SLRG set cost; path cost is the sum
     of the leveled actions' cost lower bounds, so the first accepted
     solution minimizes the plan's cost lower bound (paper section 4:
     "our algorithm optimizes the minimum cost of the plan").
 
-    The hot path is incremental: each node carries a {!Replay.rstate}
-    snapshot of its suffix's optimistic resource map, extended by exactly
-    one action per search edge in the [Regression] replay mode, and a
+    The hot path is incremental and lazy: a pushed node carries its
+    parent's {!Replay.rstate} snapshot plus its one new action, and only
+    when the node is first popped does the search extend the snapshot by
+    that action in the [Regression] replay mode — at most once per node,
+    since the state survives a deferred re-insertion.  Most pushed nodes
+    are never popped and never pay a replay.  On the same first pop a
     duplicate table keyed by (canonical pending set, tail action set)
-    prunes permutations of already-open nodes — nodes agreeing on both
-    components regress the same obligations at the same cost.  Candidate
+    drops permutations of a node already popped — nodes agreeing on both
+    components regress the same obligations at the same cost.  Dedup
+    runs before replay, but only a node that passes replay claims its
+    key, so a failing permutation never shadows a passing one.  Candidate
     solutions (empty pending set) are validated by a full from-init
     replay of the tail in execution order and rejected on failure.  That
     replay is order-sensitive while dedup is not, so candidates are exempt
@@ -27,14 +33,18 @@
     is validated on its own. *)
 
 type stats = {
-  created : int;  (** RG nodes created *)
+  created : int;
+      (** RG nodes pushed (successors with a finite heuristic); replay and
+          dedup run later, on pop *)
   expanded : int;
   open_left : int;  (** nodes left in the A* queue at termination *)
-  replay_pruned : int;  (** successor edges discarded by optimistic replay *)
+  replay_pruned : int;
+      (** nodes discarded on their first pop by optimistic replay *)
   final_replay_rejected : int;  (** complete tails rejected from the init map *)
   duplicates : int;
-      (** successors pruned by the duplicate table: permutations of a
-          (pending set, action set) pair already on the open list *)
+      (** nodes dropped on their first pop by the duplicate table:
+          permutations of a (pending set, action set) pair claimed by an
+          earlier popped node that passed replay *)
   order_repaired : int;
       (** always [0]: the search no longer re-sequences rejected
           candidates.  Kept only for readers of the stats record until
@@ -103,7 +113,9 @@ type result =
     the admissibility argument — and with it solvability and the optimal
     cost bound — is unchanged; [created]/[duplicates] differ by design
     (SLRG-infeasible successors are detected at pop instead of at push)
-    and the savings are reported in [slrg_deferred]/[slrg_saved].
+    and the savings are reported in [slrg_deferred]/[slrg_saved].  With
+    [~defer:false] (the CLI's [--eager-h]) every pushed successor pays an
+    SLRG query, including those that replay or dedup later drop on pop.
 
     The replay is {e not} guaranteed bit-identical, for two reasons the
     oracle shares with {!Session}'s warm-vs-cold contract.  First, a

@@ -100,12 +100,15 @@ type stats = {
   plrg_props : int;  (** Table 2 col 6 (left) *)
   plrg_actions : int;  (** Table 2 col 6 (right) *)
   slrg_nodes : int;  (** Table 2 col 7 — this request's share *)
-  rg_created : int;  (** Table 2 col 8 (left) *)
+  rg_created : int;  (** Table 2 col 8 (left): RG nodes pushed *)
   rg_open_left : int;  (** Table 2 col 8 (right) *)
   rg_expanded : int;
-  replay_pruned : int;
+  replay_pruned : int;  (** RG nodes failing optimistic replay on pop *)
   final_replay_rejected : int;
   rg_duplicates : int;
+      (** RG nodes dropped on their first pop by duplicate detection:
+          permutations of a (pending set, tail action set) pair that an
+          earlier popped node claimed *)
   order_repaired : int;  (** always [0]; the RG no longer re-sequences *)
   slrg_queries : int;  (** SLRG queries that ran an A* this request *)
   slrg_cache_hits : int;

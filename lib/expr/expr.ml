@@ -66,11 +66,17 @@ let rec holds ~env c =
 exception Unbounded_below
 
 (* An interval needs a finite lower bound: a corner at -inf (negating,
-   or multiplying or dividing by a negative, an unbounded range) has no
-   enclosure. *)
+   subtracting, or multiplying or dividing by a negative, an unbounded
+   range) has no enclosure. *)
 let of_corners corners =
   if List.mem Float.neg_infinity corners then raise Unbounded_below
   else I.of_points corners
+
+(* Only formula values need the finite lower bound: a condition compares
+   through the raw [I.sub], whose difference may be unbounded below. *)
+let sub_interval a b =
+  let d = I.sub a b in
+  if Float.is_finite (I.lo d) then d else raise Unbounded_below
 
 let neg_interval i =
   if I.is_point i then I.point (-.I.lo i) else of_corners [ -.I.hi i; -.I.lo i ]
@@ -119,7 +125,7 @@ let rec eval_interval ~env e =
   | Var v -> env v
   | Neg a -> neg_interval (eval_interval ~env a)
   | Add (a, b) -> I.add (eval_interval ~env a) (eval_interval ~env b)
-  | Sub (a, b) -> I.sub (eval_interval ~env a) (eval_interval ~env b)
+  | Sub (a, b) -> sub_interval (eval_interval ~env a) (eval_interval ~env b)
   | Mul (a, b) -> mul_interval (eval_interval ~env a) (eval_interval ~env b)
   | Div (a, b) -> div_interval (eval_interval ~env a) (eval_interval ~env b)
   | Min (a, b) -> I.min_ (eval_interval ~env a) (eval_interval ~env b)

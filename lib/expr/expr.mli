@@ -51,8 +51,8 @@ val ( || ) : cond -> cond -> cond
 exception Unbound_variable of var
 
 (** Raised by {!eval_interval} when the range has no finite lower bound
-    (negating, or multiplying or dividing by a negative, an unbounded
-    range): an interval's lower bound must be finite. *)
+    (negating, subtracting, or multiplying or dividing by a negative, an
+    unbounded range): an interval's lower bound must be finite. *)
 exception Unbounded_below
 
 (** Exact evaluation at a point; the environment maps variables to values.

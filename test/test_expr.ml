@@ -93,7 +93,7 @@ let test_interval_unbounded_below () =
     (fun text ->
       Alcotest.check_raises text E.Unbounded_below (fun () ->
           ignore (E.eval_interval ~env (E.parse text))))
-    [ "-x"; "x / -1"; "x * -2" ];
+    [ "-x"; "x / -1"; "x * -2"; "0 - x" ];
   let r =
     E.eval_interval ~env:(ienv_of [ ("x", I.make 10. 20.) ]) (E.parse "-x")
   in
